@@ -1,4 +1,4 @@
-#include "core/plan_storage.hpp"
+#include "core/tile_store.hpp"
 
 #include <algorithm>
 #include <cstring>
@@ -10,12 +10,12 @@
 
 namespace hetsched {
 
-PlanStorage::PlanStorage(const PlanLayout& layout) : layout_(layout) {
+TileStore::TileStore(const PlanLayout& layout) : layout_(layout) {
   const std::size_t nh = layout_.handles.size();
   if (layout_.n_tiles <= 0 || layout_.base_nb <= 0 ||
       nh < static_cast<std::size_t>(num_lower_tiles(layout_.n_tiles)))
-    throw std::invalid_argument("PlanStorage: empty or inconsistent layout");
-  offset_.resize(nh);
+    throw std::invalid_argument("TileStore: empty or inconsistent layout");
+  nb_.resize(nh);
   canonical_.assign(nh, 0);
   // A cell's canonical granularity is the smallest non-view block side
   // registered for it: an unsplit cell has only its classic base handle,
@@ -34,54 +34,59 @@ PlanStorage::PlanStorage(const PlanLayout& layout) : layout_(layout) {
     const PlanHandle& h = layout_.handles[i];
     if (h.nb <= 0 || h.row0 < 0 || h.col0 < 0 ||
         h.row0 + h.nb > layout_.base_nb || h.col0 + h.nb > layout_.base_nb)
-      throw std::invalid_argument("PlanStorage: handle " + std::to_string(i) +
+      throw std::invalid_argument("TileStore: handle " + std::to_string(i) +
                                   " outside its cell");
-    offset_[i] = total;
+    nb_[i] = h.nb;
     total += static_cast<std::size_t>(h.nb) * static_cast<std::size_t>(h.nb);
     canonical_[i] =
         !h.view && h.nb == cell_nb[static_cast<std::size_t>(tile_linear_index(
                        h.cell_i, h.cell_j))];
   }
   data_.assign(total, 0.0);
-}
-
-double* PlanStorage::block(int handle) {
-  return data_.data() + offset_[static_cast<std::size_t>(handle)];
-}
-
-const double* PlanStorage::block(int handle) const {
-  return data_.data() + offset_[static_cast<std::size_t>(handle)];
-}
-
-void PlanStorage::import_from(const TileMatrix& a) {
-  if (a.n_tiles() != layout_.n_tiles || a.nb() != layout_.base_nb)
-    throw std::invalid_argument("PlanStorage::import_from: shape mismatch");
-  const int base = layout_.base_nb;
-  for (std::size_t i = 0; i < layout_.handles.size(); ++i) {
-    if (!canonical_[i]) continue;
-    const PlanHandle& h = layout_.handles[i];
-    const double* src = a.tile(h.cell_i, h.cell_j);
-    double* dst = data_.data() + offset_[i];
-    for (int c = 0; c < h.nb; ++c)
-      std::memcpy(dst + static_cast<std::size_t>(c) * h.nb,
-                  src + static_cast<std::size_t>(h.col0 + c) * base + h.row0,
-                  static_cast<std::size_t>(h.nb) * sizeof(double));
+  double* next = data_.data();
+  for (const int nb : nb_) {
+    block_.push_back(next);
+    next += static_cast<std::size_t>(nb) * static_cast<std::size_t>(nb);
   }
 }
 
-void PlanStorage::export_to(TileMatrix& a) const {
+TileStore::TileStore(std::span<TileMatrix* const> mats) {
+  for (TileMatrix* m : mats)
+    for (int h = 0; h < num_lower_tiles(m->n_tiles()); ++h) {
+      block_.push_back(m->tile(h));
+      nb_.push_back(m->nb());
+    }
+}
+
+void TileStore::import_from(const TileMatrix& a) {
   if (a.n_tiles() != layout_.n_tiles || a.nb() != layout_.base_nb)
-    throw std::invalid_argument("PlanStorage::export_to: shape mismatch");
-  const int base = layout_.base_nb;
+    throw std::invalid_argument("TileStore::import_from: shape mismatch");
+  const auto base = static_cast<std::size_t>(layout_.base_nb);
   for (std::size_t i = 0; i < layout_.handles.size(); ++i) {
     if (!canonical_[i]) continue;
     const PlanHandle& h = layout_.handles[i];
-    double* dst = a.tile(h.cell_i, h.cell_j);
-    const double* src = data_.data() + offset_[i];
-    for (int c = 0; c < h.nb; ++c)
-      std::memcpy(dst + static_cast<std::size_t>(h.col0 + c) * base + h.row0,
-                  src + static_cast<std::size_t>(c) * h.nb,
-                  static_cast<std::size_t>(h.nb) * sizeof(double));
+    const auto nb = static_cast<std::size_t>(h.nb);
+    const double* src = a.tile(h.cell_i, h.cell_j) +
+                        static_cast<std::size_t>(h.col0) * base +
+                        static_cast<std::size_t>(h.row0);
+    for (std::size_t c = 0; c < nb; ++c)
+      std::memcpy(block_[i] + c * nb, src + c * base, nb * sizeof(double));
+  }
+}
+
+void TileStore::export_to(TileMatrix& a) const {
+  if (a.n_tiles() != layout_.n_tiles || a.nb() != layout_.base_nb)
+    throw std::invalid_argument("TileStore::export_to: shape mismatch");
+  const auto base = static_cast<std::size_t>(layout_.base_nb);
+  for (std::size_t i = 0; i < layout_.handles.size(); ++i) {
+    if (!canonical_[i]) continue;
+    const PlanHandle& h = layout_.handles[i];
+    const auto nb = static_cast<std::size_t>(h.nb);
+    double* dst = a.tile(h.cell_i, h.cell_j) +
+                  static_cast<std::size_t>(h.col0) * base +
+                  static_cast<std::size_t>(h.row0);
+    for (std::size_t c = 0; c < nb; ++c)
+      std::memcpy(dst + c * base, block_[i] + c * nb, nb * sizeof(double));
   }
 }
 
@@ -93,7 +98,7 @@ namespace {
 // the union of sources covers every element a consumer may read (the
 // strict upper triangle of diagonal view blocks stays at its initial
 // zeros, which no triangular kernel references).
-void run_repack(PlanStorage& s, const Task& t) {
+void run_repack(TileStore& s, const Task& t) {
   const PlanLayout& lay = s.layout();
   for (const TaskAccess& w : t.accesses) {
     if (w.mode == AccessMode::Read) continue;
@@ -109,19 +114,16 @@ void run_repack(PlanStorage& s, const Task& t) {
       if (row0 >= row1 || col0 >= col1) continue;
       const double* src = s.block(r.tile);
       for (int c = col0; c < col1; ++c)
-        std::memcpy(
-            dst + static_cast<std::size_t>(c - wh.col0) * wh.nb +
-                (row0 - wh.row0),
-            src + static_cast<std::size_t>(c - rh.col0) * rh.nb +
-                (row0 - rh.row0),
-            static_cast<std::size_t>(row1 - row0) * sizeof(double));
+        std::memcpy(dst + (c - wh.col0) * wh.nb + (row0 - wh.row0),
+                    src + (c - rh.col0) * rh.nb + (row0 - rh.row0),
+                    static_cast<std::size_t>(row1 - row0) * sizeof(double));
     }
   }
 }
 
 }  // namespace
 
-void execute_plan_task_checked(PlanStorage& s, const Task& t) {
+void execute_store_task(TileStore& s, const Task& t) {
   const auto blk = [&](std::size_t operand) {
     return s.block(t.accesses[operand].tile);
   };
@@ -149,7 +151,7 @@ void execute_plan_task_checked(PlanStorage& s, const Task& t) {
       run_repack(s, t);
       return;
     default:
-      throw std::logic_error("execute_plan_task_checked: non-plan kernel " +
+      throw std::logic_error("execute_store_task: non-Cholesky kernel " +
                              std::string(to_string(t.kernel)));
   }
 }

@@ -1,5 +1,6 @@
-// Numeric tiled Cholesky: sequential driver and the task -> kernel dispatch
-// shared with the parallel real-execution runtime (src/exec).
+// Numeric tiled Cholesky: the sequential reference driver and task
+// dispatch on a TileMatrix. The parallel runtime executes tasks on a
+// TileStore instead (core/tile_store.hpp).
 #pragma once
 
 #include "core/task_graph.hpp"
@@ -10,17 +11,6 @@ namespace hetsched {
 /// Executes one DAG task numerically on the tiles of `a`.
 /// Returns false only for POTRF on a non-SPD diagonal tile.
 bool execute_task(TileMatrix& a, const Task& t);
-
-/// Like execute_task(), but a POTRF failure throws NumericError (see
-/// core/numeric_error.hpp) carrying the tile coordinates and failing pivot
-/// index -- the structured form the parallel executors propagate so a
-/// non-SPD input aborts deterministically instead of racing NaNs.
-void execute_task_checked(TileMatrix& a, const Task& t);
-
-/// The tile a Cholesky task writes (POTRF -> (k,k), TRSM -> (i,k),
-/// SYRK -> (j,j), GEMM -> (i,j)), or nullptr for non-Cholesky kernels.
-/// The compute backend bumps this tile's pack-cache epoch after the task.
-double* task_output_tile(TileMatrix& a, const Task& t);
 
 /// Sequential tiled Cholesky (Algorithm 1): factorizes `a` in place into its
 /// lower Cholesky factor. Returns false if the matrix is not positive

@@ -13,7 +13,6 @@
 
 #include "core/task_graph.hpp"
 #include "core/tile_matrix.hpp"
-#include "fault/fault_plan.hpp"
 #include "platform/platform.hpp"
 #include "runtime/options.hpp"
 #include "runtime/run_report.hpp"
@@ -25,14 +24,16 @@ namespace hetsched {
 /// real threads whose scheduling decisions come from `sched` (estimates
 /// from `calibration`). The calibration platform must model exactly
 /// `num_threads` workers -- a policy may queue tasks on any worker it can
-/// see, and every modeled worker must exist for the queue to drain.
+/// see, and every modeled worker must exist for the queue to drain. The
+/// wall-clock backend honours record_trace, faults, pack_cache, stream
+/// and cancel, and ignores the DES modeling knobs.
 ///
-/// With a non-empty `faults` plan, a watchdog thread injects the planned
-/// worker deaths (cooperative: the numeric kernels are non-idempotent, so
-/// a dying worker finishes its in-flight task before retiring) and
-/// pre-execution transient failures absorbed by the retry policy; the
-/// watchdog per-task timeout only applies to emulated runs. An empty plan
-/// (the default) takes exactly the plain code path.
+/// With a non-empty `opt.faults` plan, a watchdog thread injects the
+/// planned worker deaths (cooperative: the numeric kernels are
+/// non-idempotent, so a dying worker finishes its in-flight task before
+/// retiring) and pre-execution transient failures absorbed by the retry
+/// policy; the watchdog per-task timeout only applies to emulated runs.
+/// An empty plan (the default) takes exactly the plain code path.
 ///
 /// Failures are reported through the result, not thrown: success = false
 /// with error_kind Numeric (non-SPD pivot), Fault (recovery machinery
@@ -40,15 +41,7 @@ namespace hetsched {
 RunReport execute_with_scheduler(TileMatrix& a, const TaskGraph& g,
                                  const Platform& calibration,
                                  Scheduler& sched, int num_threads,
-                                 bool record_trace = true,
-                                 const FaultPlan& faults = {});
-
-/// Full-options variant: the wall-clock backend honours record_trace,
-/// faults and stream and ignores the DES modeling knobs.
-RunReport execute_with_scheduler(TileMatrix& a, const TaskGraph& g,
-                                 const Platform& calibration,
-                                 Scheduler& sched, int num_threads,
-                                 const RunOptions& opt);
+                                 const RunOptions& opt = {});
 
 /// Timing-emulation run: every worker thread *sleeps* for its calibrated
 /// task duration (scaled by `time_scale`) instead of computing, so a
@@ -60,20 +53,13 @@ RunReport execute_with_scheduler(TileMatrix& a, const TaskGraph& g,
 /// The report's makespan_s is wall_seconds / time_scale, i.e. emulated
 /// seconds directly comparable to a DES makespan.
 ///
-/// With a non-empty `faults` plan, the watchdog additionally cancels
+/// With a non-empty `opt.faults` plan, the watchdog additionally cancels
 /// attempts overrunning calibrated-duration x watchdog_timeout_factor
 /// (emulated sleeps are sliced, hence cancellable) and deaths abort the
 /// in-flight attempt, which is re-enqueued through the live scheduler.
 RunReport emulate_with_scheduler(const TaskGraph& g,
                                  const Platform& calibration,
                                  Scheduler& sched, double time_scale = 1.0,
-                                 bool record_trace = true,
-                                 const FaultPlan& faults = {});
-
-/// Full-options variant (see execute_with_scheduler above).
-RunReport emulate_with_scheduler(const TaskGraph& g,
-                                 const Platform& calibration,
-                                 Scheduler& sched, double time_scale,
-                                 const RunOptions& opt);
+                                 const RunOptions& opt = {});
 
 }  // namespace hetsched

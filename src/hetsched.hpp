@@ -17,10 +17,10 @@
 #include "core/lu_dag.hpp"
 #include "core/numeric_error.hpp"
 #include "core/qr_dag.hpp"
-#include "core/plan_storage.hpp"
 #include "core/task_graph.hpp"
 #include "core/tile_matrix.hpp"
 #include "core/tile_plan.hpp"
+#include "core/tile_store.hpp"
 #include "core/tiled_cholesky.hpp"
 
 // Machine models and the paper's performance bounds (closed-form and LP

@@ -4,8 +4,9 @@
 // fault plan) triple, seeds the task lifecycle, hands control to a Backend
 // (virtual-clock DES, wall-clock compute, wall-clock emulation) and
 // assembles the RunReport. The public entry points `simulate`,
-// `execute_with_scheduler`, `emulate_with_scheduler` and
-// `execute_parallel` are thin wrappers over this class (runtime/api.cpp).
+// `execute_with_scheduler`, `emulate_with_scheduler`, `execute_parallel`
+// and `execute_plan_parallel` are thin wrappers over this class
+// (runtime/api.cpp).
 #pragma once
 
 #include "core/task_graph.hpp"

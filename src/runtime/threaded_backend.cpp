@@ -7,13 +7,15 @@
 #include <memory>
 #include <mutex>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/numeric_error.hpp"
-#include "core/tiled_cholesky.hpp"
 #include "kernels/pack_coop.hpp"
+#include "kernels/pack_geometry.hpp"
 #include "kernels/scratch.hpp"
 #include "obs/event.hpp"
 #include "obs/stream.hpp"
@@ -142,8 +144,9 @@ void ThreadedBackend::drive(RunEngine& engine) {
   const FaultPlan* faults = opt.faults.empty() ? nullptr : &opt.faults;
   CancelToken* const token = opt.cancel;
   const bool can_cancel = cancellable();
-  // Streaming lanes: worker thread w owns lane w; the fault service thread
-  // owns the extra lane the engine opened at num_workers.
+  // Streaming lanes: worker thread w owns lane w; fault-service events go
+  // to the extra lane the engine opened at num_workers, always emitted
+  // under the runtime mutex (workers apply due deaths too).
   obs::TraceStreamer* const stream = engine.stream();
 
   const auto t0 = Clock::now();
@@ -252,10 +255,46 @@ void ThreadedBackend::drive(RunEngine& engine) {
     return true;
   };
 
+  // Applies every planned death due by `now_tp`. Called before the pool
+  // starts, by each worker before it pops and by the fault service, so a
+  // death planned for t = 0 lands before any task can start.
+  const auto apply_due_deaths = [&](Clock::time_point now_tp) {
+    while (fr->next_death < fr->deaths.size()) {
+      const WorkerDeath& d = fr->deaths[fr->next_death];
+      if (t0 + to_duration(d.time_s) > now_tp) break;
+      ++fr->next_death;
+      if (fr->dead[static_cast<std::size_t>(d.worker)] != 0) continue;
+      fr->dead[static_cast<std::size_t>(d.worker)] = 1;
+      host.set_dead(d.worker);
+      --fr->alive;
+      ++fr->stats.worker_deaths;
+      fr->stats.degraded = true;
+      if (stream)
+        stream->emit(num_threads, obs::TraceEvent::fault_event(
+                                      obs::FaultEventKind::WorkerDeath,
+                                      host.now(), d.worker));
+      auto& run = fr->running[static_cast<std::size_t>(d.worker)];
+      if (run.task >= 0 && run.cancel) run.cancel->store(true);
+      for (const int t : sched.on_worker_dead(host, d.worker)) {
+        ++fr->stats.tasks_requeued;
+        if (stream)
+          stream->emit(num_threads, obs::TraceEvent::fault_event(
+                                        obs::FaultEventKind::TaskRequeued,
+                                        host.now(), d.worker, t));
+        push_ready(t);
+      }
+      if (fr->alive == 0 && !lifecycle.all_done())
+        fail_run("every worker died before completion",
+                 RunErrorKind::Fault);
+      cv_work.notify_all();
+    }
+  };
+
   {
     std::lock_guard<std::mutex> lock(mu);
     sched.initialize(host);
     lifecycle.seed(sched, host);
+    if (fr) apply_due_deaths(Clock::now());
   }
 
   kernels::ScratchPool scratch_pool(num_threads);
@@ -273,7 +312,10 @@ void ThreadedBackend::drive(RunEngine& engine) {
     for (;;) {
       if (lifecycle.all_done() || failed.load()) break;
       if (token_fired()) break;
-      if (fr && fr->dead[static_cast<std::size_t>(worker)] != 0) break;
+      if (fr) {
+        apply_due_deaths(Clock::now());
+        if (fr->dead[static_cast<std::size_t>(worker)] != 0) break;
+      }
       const int task = sched.pop_task(host, worker);
       if (task < 0) {
         // No ready task: help a packing peer before parking. Assisting
@@ -351,9 +393,7 @@ void ThreadedBackend::drive(RunEngine& engine) {
 
       const double start =
           std::chrono::duration<double>(Clock::now() - t0).count();
-      std::string attempt_error;
-      const bool ok =
-          run_task(engine, worker, task, cancel_flag, &attempt_error);
+      run_task(engine, worker, task, cancel_flag);
       const double end =
           std::chrono::duration<double>(Clock::now() - t0).count();
 
@@ -379,10 +419,6 @@ void ThreadedBackend::drive(RunEngine& engine) {
         stream->emit(worker, obs::TraceEvent::compute(
                                  worker, task, g.task(task).kernel, start,
                                  end));
-      if (!ok) {
-        fail_run(attempt_error, RunErrorKind::Numeric);
-        break;
-      }
       if (cancelled) {
         if (timed_out) {
           // Watchdog cancel: the attempt overran its deadline.
@@ -436,36 +472,7 @@ void ThreadedBackend::drive(RunEngine& engine) {
     for (;;) {
       if (fr->stop_service || failed.load()) return;
       const auto now_tp = Clock::now();
-      // Planned deaths due now.
-      while (fr->next_death < fr->deaths.size()) {
-        const WorkerDeath& d = fr->deaths[fr->next_death];
-        if (t0 + to_duration(d.time_s) > now_tp) break;
-        ++fr->next_death;
-        if (fr->dead[static_cast<std::size_t>(d.worker)] != 0) continue;
-        fr->dead[static_cast<std::size_t>(d.worker)] = 1;
-        host.set_dead(d.worker);
-        --fr->alive;
-        ++fr->stats.worker_deaths;
-        fr->stats.degraded = true;
-        if (stream)
-          stream->emit(num_threads, obs::TraceEvent::fault_event(
-                                        obs::FaultEventKind::WorkerDeath,
-                                        host.now(), d.worker));
-        auto& run = fr->running[static_cast<std::size_t>(d.worker)];
-        if (run.task >= 0 && run.cancel) run.cancel->store(true);
-        for (const int t : sched.on_worker_dead(host, d.worker)) {
-          ++fr->stats.tasks_requeued;
-          if (stream)
-            stream->emit(num_threads, obs::TraceEvent::fault_event(
-                                          obs::FaultEventKind::TaskRequeued,
-                                          host.now(), d.worker, t));
-          push_ready(t);
-        }
-        if (fr->alive == 0 && !lifecycle.all_done())
-          fail_run("every worker died before completion",
-                   RunErrorKind::Fault);
-        cv_work.notify_all();
-      }
+      apply_due_deaths(now_tp);
       // Backed-off retries due now.
       for (std::size_t i = 0; i < fr->delayed.size();) {
         if (fr->delayed[i].when <= now_tp) {
@@ -552,55 +559,134 @@ void ThreadedBackend::drive(RunEngine& engine) {
   on_drive_end(engine);
 }
 
+ComputeBackend::ComputeBackend(TileStore& store, std::span<const int> job_of,
+                               std::vector<const CancelToken*> tokens)
+    : store_(store), job_of_(job_of), tokens_(std::move(tokens)) {
+  if (tokens_.empty()) tokens_.push_back(nullptr);
+  jobs_ = std::make_unique<JobCounters[]>(tokens_.size());
+  results_.resize(tokens_.size());
+}
+
+void ComputeBackend::poison(int job, JobRunOutcome why,
+                            const std::string& err) {
+  std::lock_guard<std::mutex> lock(result_mu_);
+  std::atomic<bool>& flag = jobs_[static_cast<std::size_t>(job)].poisoned;
+  if (flag.load(std::memory_order_relaxed)) return;  // first poisoner wins
+  JobRunResult& r = results_[static_cast<std::size_t>(job)];
+  r.outcome = why;
+  r.error = err;
+  if (why == JobRunOutcome::kNumeric && first_numeric_.empty())
+    first_numeric_ = err;
+  flag.store(true, std::memory_order_release);
+}
+
 void ComputeBackend::on_drive_start(RunEngine& engine) {
+  // A graph that does not match the store (say, a DAG built for more tiles
+  // than the matrix has) is rejected before any worker dereferences it.
+  for (const Task& t : engine.graph().tasks())
+    for (const TaskAccess& a : t.accesses)
+      if (a.tile < 0 || a.tile >= store_.num_handles())
+        throw std::invalid_argument(
+            std::string(error_prefix()) + ": task " + std::to_string(t.id) +
+            " accesses handle " + std::to_string(a.tile) +
+            " outside the tile store (" +
+            std::to_string(store_.num_handles()) + " handles)");
   cache_ = kernels::resolve_pack_cache(engine.options().pack_cache);
   if (cache_ == nullptr) return;
-  // Tile buffers routinely reuse freed addresses across matrices, so
-  // orphan any panel cached for a previous occupant of this memory before
-  // the first lookup of the run.
-  for (int i = 0; i < a_.n_tiles(); ++i)
-    for (int j = 0; j <= i; ++j) cache_->bump_epoch(a_.tile(i, j));
+  // Blocks routinely reuse freed addresses across runs, so orphan any
+  // panel cached for a previous occupant of this memory before the first
+  // lookup of the run.
+  for (int h = 0; h < store_.num_handles(); ++h)
+    cache_->bump_epoch(store_.block(h));
   cache_baseline_ = cache_->stats();
 }
 
 void ComputeBackend::on_drive_end(RunEngine& engine) {
-  if (cache_ == nullptr) return;
-  const kernels::PackCacheStats s = cache_->stats();
   RunReport& res = engine.report();
-  res.pack_hits = static_cast<std::int64_t>(s.hits - cache_baseline_.hits);
-  res.pack_misses =
-      static_cast<std::int64_t>(s.misses - cache_baseline_.misses);
-  res.pack_evictions =
-      static_cast<std::int64_t>(s.evictions - cache_baseline_.evictions);
-  res.pack_bytes =
-      static_cast<std::int64_t>(s.bytes_packed - cache_baseline_.bytes_packed);
+  if (cache_ != nullptr) {
+    const kernels::PackCacheStats s = cache_->stats();
+    res.pack_hits = static_cast<std::int64_t>(s.hits - cache_baseline_.hits);
+    res.pack_misses =
+        static_cast<std::int64_t>(s.misses - cache_baseline_.misses);
+    res.pack_evictions =
+        static_cast<std::int64_t>(s.evictions - cache_baseline_.evictions);
+    res.pack_bytes = static_cast<std::int64_t>(s.bytes_packed -
+                                               cache_baseline_.bytes_packed);
+  }
+  // A job that was never poisoned and ran every one of its tasks is kOk;
+  // anything else the run aborted under stays kIncomplete.
+  std::vector<int> expected(results_.size(), 0);
+  for (int t = 0; t < engine.graph().num_tasks(); ++t)
+    ++expected[static_cast<std::size_t>(
+        job_of_.empty() ? 0 : job_of_[static_cast<std::size_t>(t)])];
+  bool all_numeric = true;
+  std::lock_guard<std::mutex> lock(result_mu_);
+  for (std::size_t j = 0; j < results_.size(); ++j) {
+    JobRunResult& r = results_[j];
+    r.tasks_run = jobs_[j].run.load(std::memory_order_relaxed);
+    r.tasks_skipped = jobs_[j].skipped.load(std::memory_order_relaxed);
+    if (!jobs_[j].poisoned.load(std::memory_order_acquire) &&
+        r.tasks_run == expected[j])
+      r.outcome = JobRunOutcome::kOk;
+    all_numeric = all_numeric && r.outcome == JobRunOutcome::kNumeric;
+  }
+  if (all_numeric && res.success) {
+    res.success = false;
+    res.error_kind = RunErrorKind::Numeric;
+    res.error = first_numeric_;
+  }
 }
 
-bool ComputeBackend::run_task(RunEngine& engine, int, int task,
-                              const std::atomic<bool>*, std::string* error) {
+void ComputeBackend::run_task(RunEngine& engine, int, int task,
+                              const std::atomic<bool>*) {
+  const int job = job_of_.empty() ? 0 : job_of_[static_cast<std::size_t>(task)];
+  JobCounters& js = jobs_[static_cast<std::size_t>(job)];
+  // Poisoned jobs complete their remaining tasks as no-ops: dependencies
+  // keep releasing, the lifecycle converges, and fault-recovery re-pushes
+  // of orphaned tasks cannot resurrect the job.
+  if (js.poisoned.load(std::memory_order_acquire)) {
+    js.skipped.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  if (const CancelToken* token = tokens_[static_cast<std::size_t>(job)]) {
+    const CancelReason why = token->status();
+    if (why != CancelReason::kNone) {
+      poison(job,
+             why == CancelReason::kDeadline ? JobRunOutcome::kDeadline
+                                            : JobRunOutcome::kCancelled,
+             "");
+      js.skipped.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+  }
   const Task& t = engine.graph().task(task);
-  // Consult the pack cache for this attempt's operand tiles. The DAG
-  // guarantees no concurrent writer of a tile being read, so a panel
+  // Consult the pack cache for this attempt's operand blocks. The DAG
+  // guarantees no concurrent writer of a block being read, so a panel
   // packed under the epoch observed here stays valid for the whole task.
   kernels::PackCacheBinding cache_binding(cache_);
-  // Numeric failures (non-SPD pivots) abort deterministically with the
-  // tile coordinates and pivot of the first offending POTRF.
+  // Blocking sized to this task's blocks (the global geometry for
+  // full-size tiles; a 240-wide subtile packs 240-deep panels). The
+  // binding is thread-local, so concurrent workers at other
+  // granularities keep their own blocking.
+  kernels::PackGeometryBinding geometry(kernels::resolve_pack_geometry(
+      store_.block_nb(t.accesses.back().tile)));
   try {
-    execute_task_checked(a_, t);
+    execute_store_task(store_, t);
   } catch (const NumericError& e) {
-    *error = e.what();
-    return false;
+    poison(job, JobRunOutcome::kNumeric, e.what());
+    return;
   }
-  // The write is done (and mark_done not yet published): stale panels of
-  // the output tile stop matching before any dependent task can look up.
+  // The writes are done (and mark_done not yet published): stale panels
+  // of every written block stop matching before any dependent task can
+  // look up.
   if (cache_ != nullptr)
-    if (double* out = task_output_tile(a_, t)) cache_->bump_epoch(out);
-  return true;
+    for (const TaskAccess& a : t.accesses)
+      if (a.mode != AccessMode::Read) cache_->bump_epoch(store_.block(a.tile));
+  js.run.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool EmulationBackend::run_task(RunEngine& engine, int worker, int task,
-                                const std::atomic<bool>* cancel,
-                                std::string*) {
+void EmulationBackend::run_task(RunEngine& engine, int worker, int task,
+                                const std::atomic<bool>* cancel) {
   double seconds =
       engine.platform().worker_time_at(worker, engine.graph().task(task).kernel,
                                        engine.graph().task(task).nb) *
@@ -608,19 +694,18 @@ bool EmulationBackend::run_task(RunEngine& engine, int worker, int task,
   const CancelToken* const token = engine.options().cancel;
   if (cancel == nullptr && token == nullptr) {
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    return true;
+    return;
   }
   // Sliced sleep so the watchdog, a death, or the run's cancel token can
   // abort the attempt mid-sleep.
   constexpr double kSlice = 200e-6;
   while (seconds > 0.0) {
-    if (cancel != nullptr && cancel->load()) return true;  // caller handles it
-    if (token != nullptr && token->cancelled()) return true;
+    if (cancel != nullptr && cancel->load()) return;  // caller handles it
+    if (token != nullptr && token->cancelled()) return;
     const double s = std::min(seconds, kSlice);
     std::this_thread::sleep_for(std::chrono::duration<double>(s));
     seconds -= s;
   }
-  return true;
 }
 
 }  // namespace hetsched

@@ -9,26 +9,16 @@
 // stays warm across the batch -- the small-nb regime where BENCH_runtime
 // shows the cache pays most.
 //
-// Failure isolation is per job, not per batch: a job whose CancelToken
-// fires (deadline, shutdown) or whose POTRF hits a non-SPD pivot is
-// *poisoned* -- its remaining tasks complete as no-ops -- and the batch
-// run carries on for everyone else. This also makes fault recovery safe
-// under cancellation: an orphaned task re-pushed after a worker death
-// cannot resurrect a poisoned job, because the no-op check runs at every
-// attempt.
+// The batch runs on the one compute backend (runtime/threaded_backend.hpp)
+// over a borrowing TileStore of the B job matrices: the fused graph's tile
+// handles are exactly the store's handles, and job_of feeds the backend's
+// per-job failure isolation (a cancelled or non-SPD job is poisoned, the
+// batch carries on for everyone else).
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "core/task_graph.hpp"
-#include "core/tile_matrix.hpp"
-#include "kernels/pack_cache.hpp"
-#include "runtime/cancel.hpp"
-#include "runtime/threaded_backend.hpp"
 
 namespace hetsched::serve {
 
@@ -36,74 +26,11 @@ namespace hetsched::serve {
 struct BatchPlan {
   TaskGraph graph;
   std::vector<int> job_of;    ///< fused task id -> job index
-  int jobs = 0;
   int tasks_per_job = 0;
-  int tiles = 0;
-  int nb = 0;
 };
 
 /// Builds the fused graph of `jobs` independent Cholesky factorizations
 /// of `tiles` x `tiles` matrices with `nb` x `nb` tiles.
 BatchPlan build_batch_plan(int jobs, int tiles, int nb);
-
-/// Per-job outcome of one batch run.
-enum class JobRunOutcome {
-  kOk,         ///< every task executed
-  kNumeric,    ///< poisoned by a non-SPD POTRF pivot (not retryable)
-  kCancelled,  ///< poisoned by an explicit token cancel
-  kDeadline,   ///< poisoned by the token's deadline tripping
-  kIncomplete, ///< the batch run aborted before this job finished
-};
-
-struct BatchJobResult {
-  JobRunOutcome outcome = JobRunOutcome::kIncomplete;
-  std::string error;     ///< non-empty only for kNumeric
-  int tasks_run = 0;     ///< kernels actually executed
-  int tasks_skipped = 0; ///< no-op completions after poisoning
-};
-
-/// ThreadedBackend substrate executing a fused batch on real tiles: like
-/// ComputeBackend, but dispatching each task to its job's TileMatrix and
-/// honoring one CancelToken per job. Matrices and tokens are borrowed and
-/// must outlive the run; `tokens[j]` may be null (job without deadline
-/// that cannot be individually cancelled).
-class BatchComputeBackend final : public ThreadedBackend {
- public:
-  BatchComputeBackend(const BatchPlan& plan, std::vector<TileMatrix*> mats,
-                      std::vector<const CancelToken*> tokens);
-
-  const char* name() const override { return "batch-compute"; }
-  const char* error_prefix() const override { return "batch executor"; }
-
-  /// Per-job outcomes, valid after the run. Jobs still kIncomplete after
-  /// a *successful* run are promoted to kOk by finalize() -- callers use
-  /// results() only. On a failed run (all workers dead, starvation,
-  /// batch-level cancel) unfinished jobs stay kIncomplete.
-  const std::vector<BatchJobResult>& results() const { return results_; }
-
- protected:
-  void on_drive_start(RunEngine& engine) override;
-  void on_drive_end(RunEngine& engine) override;
-  bool cancellable() const override { return false; }
-  bool run_task(RunEngine& engine, int worker, int task,
-                const std::atomic<bool>* cancel, std::string* error) override;
-  double makespan_from(double elapsed_s) const override { return elapsed_s; }
-
- private:
-  void poison(int job, JobRunOutcome why, const std::string& err);
-
-  const BatchPlan& plan_;
-  std::vector<TileMatrix*> mats_;
-  std::vector<const CancelToken*> tokens_;
-  /// Lock-free poisoned flag per job (checked on every attempt); the
-  /// result record itself is filled once under result_mu_.
-  std::vector<std::unique_ptr<std::atomic<bool>>> poisoned_;
-  std::vector<std::unique_ptr<std::atomic<int>>> run_counts_;
-  std::vector<std::unique_ptr<std::atomic<int>>> skip_counts_;
-  std::mutex result_mu_;
-  std::vector<BatchJobResult> results_;
-  kernels::PackedTileCache* cache_ = nullptr;
-  kernels::PackCacheStats cache_baseline_;
-};
 
 }  // namespace hetsched::serve

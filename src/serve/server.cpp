@@ -8,8 +8,10 @@
 #include <utility>
 
 #include "core/tile_matrix.hpp"
+#include "core/tile_store.hpp"
 #include "platform/calibration.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/threaded_backend.hpp"
 #include "sched/scheduler_registry.hpp"
 
 namespace hetsched::serve {
@@ -173,7 +175,8 @@ void FactorizationServer::run_batch(std::vector<JobPtr>& batch,
     tokens[static_cast<std::size_t>(i)] =
         &batch[static_cast<std::size_t>(i)]->token;
   }
-  BatchComputeBackend backend(plan, std::move(mat_ptrs), std::move(tokens));
+  TileStore store(mat_ptrs);
+  ComputeBackend backend(store, plan.job_of, std::move(tokens));
   // Registry-resolved policy per batch (specs are cheap to re-resolve and
   // graph-dependent schedulers need this batch's plan). The default,
   // "priority", is the historical central priority queue in submission
@@ -192,7 +195,7 @@ void FactorizationServer::run_batch(std::vector<JobPtr>& batch,
   // aggregated stream snapshot alongside the event-derived metrics.
   aggregator_.add_scheduler_stats(rep.scheduler_stats);
   const double wall_ms = ms_between(run_start, Clock::now());
-  const std::vector<BatchJobResult> results = backend.results();
+  const std::vector<JobRunResult>& results = backend.results();
 
   lock.lock();
   active_batch_cancel_ = nullptr;
@@ -204,7 +207,7 @@ void FactorizationServer::run_batch(std::vector<JobPtr>& batch,
   m_.tasks_requeued += rep.faults.tasks_requeued;
   for (int i = 0; i < b; ++i) {
     const JobPtr& job = batch[static_cast<std::size_t>(i)];
-    const BatchJobResult& r = results[static_cast<std::size_t>(i)];
+    const JobRunResult& r = results[static_cast<std::size_t>(i)];
     switch (r.outcome) {
       case JobRunOutcome::kOk:
         finalize_locked(job, JobState::kDone, runtime::RunErrorKind::None, "");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/cholesky_dag.hpp"
 #include "core/dense_matrix.hpp"
 #include "core/tiled_cholesky.hpp"
@@ -103,6 +106,15 @@ TEST(Executor, FailsCleanlyOnNonSpd) {
   opt.num_threads = 2;
   const RunReport r = execute_parallel(a, g, opt);
   EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.error_kind, RunErrorKind::Numeric);
+  EXPECT_NE(r.error.find("POTRF on tile (0, 0)"), std::string::npos)
+      << r.error;
+}
+
+TEST(Executor, RejectsGraphLargerThanMatrix) {
+  TileMatrix a = TileMatrix::random_spd(2, 8, 36);
+  const TaskGraph g = build_cholesky_dag(4, 8);
+  EXPECT_THROW(execute_parallel(a, g), std::invalid_argument);
 }
 
 TEST(Executor, ManyThreadsMoreThanTasks) {

@@ -9,6 +9,7 @@
 
 #include "core/cholesky_dag.hpp"
 #include "core/numeric_error.hpp"
+#include "core/tile_matrix.hpp"
 #include "exec/scheduled_executor.hpp"
 #include "fault/fault_error.hpp"
 #include "fault/fault_plan.hpp"
@@ -383,8 +384,10 @@ TEST(FaultInjection, EmulatedTransientFailuresRecover) {
   plan.transient_failure_prob = 0.3;
   plan.seed = 7;
   plan.retry.max_retries = 50;
-  const RunReport r = emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-3,
-                                              /*record_trace=*/true, plan);
+  RunOptions opt;
+  opt.faults = plan;
+  const RunReport r =
+      emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-3, opt);
   EXPECT_TRUE(r.success) << r.error;
   // Every injected failure is absorbed by exactly one retry; equality
   // holds whatever the thread interleaving (and trivially when both are
@@ -399,8 +402,10 @@ TEST(FaultInjection, EmulatedWorkerDeathRecovers) {
   EagerScheduler sched;
   FaultPlan plan;
   plan.deaths.push_back({1, 0.004});  // mid-first-task at time_scale 1e-3
-  const RunReport r = emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-3,
-                                              /*record_trace=*/true, plan);
+  RunOptions opt;
+  opt.faults = plan;
+  const RunReport r =
+      emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-3, opt);
   EXPECT_TRUE(r.success) << r.error;
   EXPECT_EQ(r.faults.worker_deaths, 1);
   EXPECT_TRUE(r.faults.degraded);
@@ -420,12 +425,41 @@ TEST(FaultInjection, EmulatedWatchdogTimeoutExhaustsBudget) {
   // attempt times out and the budget runs dry.
   plan.watchdog_timeout_factor = 1e-4;
   plan.retry.max_retries = 2;
-  const RunReport r = emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-2,
-                                              /*record_trace=*/false, plan);
+  RunOptions opt;
+  opt.record_trace = false;
+  opt.faults = plan;
+  const RunReport r =
+      emulate_with_scheduler(g, p, sched, /*time_scale=*/1e-2, opt);
   EXPECT_FALSE(r.success);
   EXPECT_GT(r.faults.watchdog_timeouts, 0);
   EXPECT_NE(r.error.find("retry budget exhausted"), std::string::npos)
       << r.error;
+}
+
+// Deaths planned for t = 0 land before the pool starts (and again before
+// every pop), so no worker can slip a task in ahead of its own death: the
+// outcome is the same on every repeat, whatever the thread timing. More
+// workers than a typical host has cores make that race routine if the
+// deaths were left to the fault service thread alone.
+TEST(FaultInjection, WallClockDeathsAtTimeZeroRunNothing) {
+  const int n = 4, nb = 16, threads = 8;
+  const TaskGraph g = build_cholesky_dag(n, nb);
+  const Platform p = homogeneous_platform(threads);
+  RunOptions opt;
+  for (int w = 0; w < threads; ++w) opt.faults.deaths.push_back({w, 0.0});
+  for (int rep = 0; rep < 100; ++rep) {
+    TileMatrix a = TileMatrix::random_spd(n, nb, 5);
+    EagerScheduler compute_sched;
+    const RunReport c =
+        execute_with_scheduler(a, g, p, compute_sched, threads, opt);
+    EXPECT_FALSE(c.success) << "repeat " << rep;
+    EXPECT_EQ(c.error_kind, RunErrorKind::Fault) << "repeat " << rep;
+    EXPECT_TRUE(c.trace.compute().empty()) << "repeat " << rep;
+    EagerScheduler emu_sched;
+    const RunReport e = emulate_with_scheduler(g, p, emu_sched, 1e-3, opt);
+    EXPECT_EQ(e.error_kind, RunErrorKind::Fault) << "repeat " << rep;
+    EXPECT_TRUE(e.trace.compute().empty()) << "repeat " << rep;
+  }
 }
 
 // ---- Property test: seeded random plans stay valid -------------------------

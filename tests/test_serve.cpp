@@ -16,6 +16,7 @@
 
 #include "core/cholesky_dag.hpp"
 #include "core/tile_matrix.hpp"
+#include "core/tile_store.hpp"
 #include "core/tiled_cholesky.hpp"
 #include "exec/parallel_executor.hpp"
 #include "platform/calibration.hpp"
@@ -32,14 +33,11 @@ namespace hetsched {
 namespace {
 
 using serve::AdmissionControl;
-using serve::BatchComputeBackend;
-using serve::BatchJobResult;
 using serve::BatchPlan;
 using serve::BoundedJobQueue;
 using serve::FactorizationServer;
 using serve::JobPtr;
 using serve::JobRecord;
-using serve::JobRunOutcome;
 using serve::JobSpec;
 using serve::JobState;
 using serve::RejectReason;
@@ -164,14 +162,15 @@ TEST(BatchPlan, FusedGraphIsDisjointCopiesWithOffsets) {
 
 struct BatchRun {
   RunReport rep;
-  std::vector<BatchJobResult> results;
+  std::vector<JobRunResult> results;
 };
 
 BatchRun drive_batch(const BatchPlan& plan, std::vector<TileMatrix*> mats,
                      std::vector<const CancelToken*> tokens, int threads,
                      const FaultPlan& faults = {},
                      CancelToken* batch_cancel = nullptr) {
-  BatchComputeBackend backend(plan, std::move(mats), std::move(tokens));
+  TileStore store(mats);
+  ComputeBackend backend(store, plan.job_of, std::move(tokens));
   CentralPriorityScheduler sched;
   RunOptions opt;
   opt.record_trace = false;
@@ -239,6 +238,22 @@ TEST(BatchExecution, NumericFailurePoisonsOnlyThatJob) {
   // The poisoned job's remaining tasks completed as no-ops.
   EXPECT_EQ(run.results[1].tasks_run + run.results[1].tasks_skipped + 1,
             plan.tasks_per_job);
+
+  // Every job non-SPD: the run itself fails numerically, with the first
+  // failing POTRF's message, while each job still carries its own outcome.
+  for (auto& m : mats) {
+    double* diag = m.tile(0, 0);
+    for (int i = 0; i < nb; ++i) diag[i * nb + i] = -1.0;
+  }
+  const BatchRun all = drive_batch(plan, ptrs, tokens, /*threads=*/2);
+  EXPECT_FALSE(all.rep.success);
+  EXPECT_EQ(all.rep.error_kind, RunErrorKind::Numeric);
+  EXPECT_NE(all.rep.error.find("POTRF on tile (0, 0)"), std::string::npos)
+      << all.rep.error;
+  for (const JobRunResult& r : all.results) {
+    EXPECT_EQ(r.outcome, JobRunOutcome::kNumeric);
+    EXPECT_EQ(r.tasks_run, 0);
+  }
 }
 
 TEST(BatchExecution, PreCancelledTokenPoisonsJobOnly) {
@@ -301,7 +316,7 @@ TEST(BatchExecution, CancellationRacingFaultRecoveryNeverResurrects) {
     killer.join();
     ASSERT_TRUE(run.rep.success) << "round " << round << ": " << run.rep.error;
     for (int b = 0; b < jobs; ++b) {
-      const BatchJobResult& r = run.results[static_cast<std::size_t>(b)];
+      const JobRunResult& r = run.results[static_cast<std::size_t>(b)];
       if (b != victim) {
         EXPECT_EQ(r.outcome, JobRunOutcome::kOk) << "round " << round;
         ASSERT_TRUE(tiled_cholesky_sequential(refs[b]));

@@ -160,7 +160,7 @@ struct PlanExecCase {
 class PlanExecutorSweep : public ::testing::TestWithParam<PlanExecCase> {};
 
 // The real-execution acceptance bar: factorizing through the plan
-// executor (PlanStorage blocks, SPLIT/MERGE repacks, per-region pack
+// executor (TileStore blocks, SPLIT/MERGE repacks, per-region pack
 // geometry) matches the sequential tiled reference.
 TEST_P(PlanExecutorSweep, MatchesSequentialReference) {
   const auto [n, nb, level] = GetParam();
@@ -198,6 +198,9 @@ TEST(PlanExecutor, NonSpdFailureLeavesInputUntouched) {
   opt.record_trace = false;
   const RunReport rep = execute_plan_parallel(m, mixed_plan(n, nb), opt);
   EXPECT_FALSE(rep.success);
+  EXPECT_EQ(rep.error_kind, RunErrorKind::Numeric);
+  EXPECT_NE(rep.error.find("POTRF on tile (0, 0)"), std::string::npos)
+      << rep.error;
   EXPECT_LT(DenseMatrix::max_abs_diff_lower(zero, m.to_dense()), 1e-300);
 }
 

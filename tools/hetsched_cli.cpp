@@ -13,8 +13,11 @@
 //                         [--trace-stream=FILE] [--metrics-interval=S]
 //   hetsched_cli exec     --tiles=N [--nb=B] [--threads=T] [--seed=S]
 //                         [--pack-cache=on|off|MiB] [--kernel-tier=generic|
-//                         avx2] [--deadline-ms=D] [--trace] [--json]
-//                         [--bounds=LIST]
+//                         avx2|avx512] [--deadline-ms=D] [--trace] [--json]
+//                         [--bounds=LIST] [--tile-plan=auto|uniform:NB|FILE]
+//                         (exec always runs the central priority queue and
+//                         rejects --sched/--policy, --trace-stream and
+//                         --metrics-interval)
 //   hetsched_cli submit   --socket=PATH [--count=N] [--tiles=N] [--nb=B]
 //                         [--seed=S] [--priority=P] [--deadline-ms=D]
 //                         [--wait] [--metrics] [--drain] [--ping]
@@ -102,7 +105,7 @@ struct Args {
   int threads = 4;
   int nb = 256;
   std::string pack_cache;   ///< "" (default) | "on" | "off" | capacity MiB
-  std::string kernel_tier;  ///< "" (auto) | "generic" | "avx2"
+  std::string kernel_tier;  ///< "" (auto) | "generic" | "avx2" | "avx512"
   // Cooperative deadline (exec / faults): abort at a task boundary after
   // this many wall-clock milliseconds (0 = none). Exit code 6 when it fires.
   double deadline_ms = 0.0;
@@ -145,8 +148,12 @@ struct Args {
       "  --pack-cache=on|off|MiB  packed-tile cache policy: force on/off or\n"
       "                           set capacity in MiB (default: follow the\n"
       "                           HETSCHED_PACK_CACHE env, on when unset)\n"
-      "  --kernel-tier=generic|avx2  force the micro-kernel tier (default:\n"
+      "  --kernel-tier=generic|avx2|avx512  force the micro-kernel tier,\n"
+      "                           clamped to what the CPU supports (default:\n"
       "                           best supported, or HETSCHED_KERNEL_TIER)\n"
+      "  exec always runs the central priority queue and streams no\n"
+      "  events: it rejects --sched/--policy, --trace-stream and\n"
+      "  --metrics-interval\n"
       "\n"
       "common flags: --algo=cholesky|lu|qr --tiles=N\n"
       "  --sched=SPEC (alias --policy): a SchedulerRegistry spec, i.e. a\n"
@@ -225,6 +232,14 @@ Args parse(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string v;
+    if (a.command == "exec")
+      for (const char* f : {"--sched", "--policy", "--trace-stream",
+                            "--metrics-interval"})
+        if (arg == f || arg.rfind(std::string(f) + "=", 0) == 0)
+          usage((std::string("exec does not accept ") + f +
+                 ": it always runs the central priority queue and streams "
+                 "no events")
+                    .c_str());
     if (parse_flag(arg, "algo", &v)) a.algo = v;
     else if (parse_flag(arg, "sched", &v)) a.sched = v;
     else if (parse_flag(arg, "policy", &v)) a.sched = v;
@@ -313,16 +328,19 @@ kernels::PackCacheOptions parse_pack_cache(const Args& a) {
   return opt;
 }
 
-/// --kernel-tier=generic|avx2 (an unsupported avx2 request falls back to
-/// generic inside set_engine_tier, matching the env-var behaviour).
+/// --kernel-tier=generic|avx2|avx512 (an unsupported request clamps down
+/// to the best supported tier inside set_engine_tier, matching the
+/// env-var behaviour).
 void apply_kernel_tier(const Args& a) {
   if (a.kernel_tier.empty()) return;
   if (a.kernel_tier == "generic")
     kernels::set_engine_tier(kernels::Tier::kGeneric);
   else if (a.kernel_tier == "avx2")
     kernels::set_engine_tier(kernels::Tier::kAvx2);
+  else if (a.kernel_tier == "avx512")
+    kernels::set_engine_tier(kernels::Tier::kAvx512);
   else
-    usage("unknown --kernel-tier (generic|avx2)");
+    usage("unknown --kernel-tier (generic|avx2|avx512)");
 }
 
 TaskGraph build_graph(const Args& a, int n) {
