@@ -4,10 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bounds/bounds.hpp"
@@ -18,7 +16,6 @@
 #include "kernels/engine.hpp"
 #include "kernels/gemm_packed.hpp"
 #include "kernels/pack_cache.hpp"
-#include "kernels/pack_coop.hpp"
 #include "kernels/ref.hpp"
 #include "platform/calibration.hpp"
 #include "sched/dmda.hpp"
@@ -323,58 +320,6 @@ int register_tier_benches() {
   return 0;
 }
 const int kTierBenchesRegistered = register_tier_benches();
-
-// ---- Cooperative packing: throughput vs helper-thread count ----------------
-//
-// Times the publisher's coop_pack_b of one large B slab while `threads-1`
-// helper threads steal slices (threads == 1 is the serial pack baseline).
-// Bytes/s is the packed-buffer production rate.
-void BM_CoopPackScaling(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int kc = 256, n = 8192;
-  const std::vector<double> b = [&] {
-    std::vector<double> t(static_cast<std::size_t>(n) *
-                          static_cast<std::size_t>(kc));
-    for (std::size_t i = 0; i < t.size(); ++i)
-      t[i] = static_cast<double>(i % 251) * 0.125;
-    return t;
-  }();
-  const std::size_t doubles = static_cast<std::size_t>(n) * kc;
-  std::vector<double> dst(doubles);
-
-  int reg = -1;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> helpers;
-  if (threads > 1) {
-    reg = kernels::register_pack_helpers([] {});  // helpers spin
-    for (int i = 0; i < threads - 1; ++i)
-      helpers.emplace_back([&stop] {
-        while (!stop.load(std::memory_order_relaxed))
-          if (!kernels::assist_pack_once()) std::this_thread::yield();
-      });
-  }
-  for (auto _ : state) {
-    if (!kernels::detail::coop_pack_b(kc, n, b.data(), n,
-                                      kernels::detail::BLayout::kNT,
-                                      dst.data()))
-      kernels::detail::pack_b(kc, n, b.data(), n,
-                              kernels::detail::BLayout::kNT, dst.data());
-    benchmark::DoNotOptimize(dst[0]);
-  }
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : helpers) t.join();
-  if (reg >= 0) kernels::unregister_pack_helpers(reg);
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(doubles * sizeof(double)));
-}
-BENCHMARK(BM_CoopPackScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

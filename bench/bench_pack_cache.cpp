@@ -215,8 +215,7 @@ void end_to_end(int n_tiles, int nb) {
       ExecOptions opt;
       opt.num_threads = kThreads;
       opt.record_trace = false;
-      opt.pack_cache.mode = on ? kernels::PackCacheOptions::Mode::kOn
-                               : kernels::PackCacheOptions::Mode::kOff;
+      opt.pack_cache = on;
       const RunReport r = execute_parallel(a, g, opt);
       if (!r.success) {
         std::fprintf(stderr, "run failed: %s\n", r.error.c_str());
@@ -259,9 +258,9 @@ int main() {
                        : 0.0);
   }
 
-  // Thread scaling of the cache-on phase: cooperative packing and the
-  // sharded hit path are the two mechanisms under test -- throughput
-  // should scale with the pool while the hit rate stays flat. Thread
+  // Thread scaling of the cache-on phase: the sharded hit path is the
+  // mechanism under test -- throughput should scale with the pool while
+  // the hit rate stays flat. Thread
   // counts above the hardware are still reported (they measure
   // oversubscription, labelled as such).
   const unsigned hw = std::thread::hardware_concurrency();

@@ -14,7 +14,6 @@
 
 #include "core/task_graph.hpp"
 #include "core/tile_matrix.hpp"
-#include "kernels/pack_cache.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/run_report.hpp"
 
@@ -26,9 +25,9 @@ struct ExecOptions {
   std::vector<double> priorities;
   /// Record a wall-clock Gantt trace.
   bool record_trace = true;
-  /// Packed-tile cache policy for this run (default: follow the
-  /// HETSCHED_PACK_CACHE environment, on when unset).
-  kernels::PackCacheOptions pack_cache;
+  /// Read packed panels through the process-wide packed-tile cache
+  /// (RunOptions::pack_cache).
+  bool pack_cache = true;
   /// Cooperative cancellation / deadline (see runtime/cancel.hpp). Not
   /// owned; nullptr (the default) leaves the run unchanged. A fired token
   /// reports RunErrorKind::Cancelled / DeadlineExceeded via the result.

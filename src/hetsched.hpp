@@ -78,6 +78,8 @@
 #include "obs/sink.hpp"
 #include "obs/stream.hpp"
 
-// Numeric kernel engine facade and the portable reference kernels.
+// Numeric kernel engine facade, the packed-tile cache and the portable
+// reference kernels.
 #include "kernels/engine.hpp"
+#include "kernels/pack_cache.hpp"
 #include "kernels/ref.hpp"

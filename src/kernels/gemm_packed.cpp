@@ -114,8 +114,7 @@ void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
       const double* bpc = layout == BLayout::kNT
                               ? b + static_cast<std::ptrdiff_t>(pc) * ldb
                               : b + pc;
-      if (!coop_pack_b(kc, n, bpc, ldb, layout, pb))
-        pack_b(kc, n, bpc, ldb, layout, pb);
+      pack_b(kc, n, bpc, ldb, layout, pb);
       pbs = pb;
       bstride = kc;
     }
@@ -130,7 +129,7 @@ void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
               static_cast<std::ptrdiff_t>(ic) * astride;
       } else {
         const double* apc = a + ic + static_cast<std::ptrdiff_t>(pc) * lda;
-        if (!coop_pack_a(mc, kc, apc, lda, pa)) pack_a(mc, kc, apc, lda, pa);
+        pack_a(mc, kc, apc, lda, pa);
         pas = pa;
         astride = kc;
       }

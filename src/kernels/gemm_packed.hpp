@@ -96,14 +96,4 @@ bool avx2_supported();
 /// True when the running CPU reports AVX-512F.
 bool avx512_supported();
 
-/// Cooperative (multi-threaded) packing entry points: publish the pack as
-/// a sliced job idle workers steal (see pack_coop.hpp) and return true
-/// with `dst` fully written; return false when the caller should run the
-/// serial pack_a/pack_b instead (below the size floor, no helpers
-/// registered, or another job holds the slot). Buffer contents are
-/// byte-identical either way.
-bool coop_pack_a(int mc, int kc, const double* a, int lda, double* dst);
-bool coop_pack_b(int kc, int n, const double* b, int ldb, BLayout layout,
-                 double* dst);
-
 }  // namespace hetsched::kernels::detail

@@ -4,15 +4,12 @@
 #include <atomic>
 #include <climits>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <thread>
 
 #include "kernels/gemm_packed.hpp"
-#include "kernels/numa.hpp"
 #include "kernels/pack_geometry.hpp"
 
 namespace hetsched::kernels {
@@ -93,24 +90,16 @@ struct alignas(64) Shard {
 
 struct PackedTileCache::Impl {
   std::unique_ptr<Shard[]> shards;
-  std::size_t nshards = 0;          // nnodes * shards_per_node
-  std::size_t nnodes = 1;           // NUMA shard groups
-  std::size_t shards_per_node = 1;  // power of two
-  std::atomic<std::size_t> capacity{0};
+  std::size_t nshards = 0;  // power of two
+  std::size_t capacity = 0;
   std::unique_ptr<std::atomic<std::uint64_t>[]> epochs;
 };
 
 PackedTileCache::PackedTileCache() : PackedTileCache(Config{}) {}
 
 PackedTileCache::PackedTileCache(const Config& cfg) : impl_(new Impl) {
-  // Shard layout: one group of shards_per_node shards per NUMA node; a
-  // thread only ever probes its own node's group (see shard_for()), which
-  // makes fills -- and the first touch of fresh pages -- node-local.
-  impl_->nnodes = static_cast<std::size_t>(
-      cfg.numa_nodes > 0 ? cfg.numa_nodes : detail::numa_node_count());
-  impl_->shards_per_node = round_up_pow2(
+  impl_->nshards = round_up_pow2(
       static_cast<std::size_t>(cfg.shards > 0 ? cfg.shards : 1));
-  impl_->nshards = impl_->nnodes * impl_->shards_per_node;
   impl_->shards = std::make_unique<Shard[]>(impl_->nshards);
   const std::size_t nslots = round_up_pow2(static_cast<std::size_t>(
       cfg.slots_per_shard > kProbe ? cfg.slots_per_shard : kProbe));
@@ -118,7 +107,7 @@ PackedTileCache::PackedTileCache(const Config& cfg) : impl_(new Impl) {
     impl_->shards[s].slots = std::make_unique<Slot[]>(nslots);
     impl_->shards[s].nslots = nslots;
   }
-  impl_->capacity.store(cfg.capacity_bytes, std::memory_order_relaxed);
+  impl_->capacity = cfg.capacity_bytes;
   impl_->epochs = std::make_unique<std::atomic<std::uint64_t>[]>(kEpochSlots);
   for (std::size_t i = 0; i < kEpochSlots; ++i)
     impl_->epochs[i].store(0, std::memory_order_relaxed);
@@ -150,12 +139,8 @@ std::uint64_t PackedTileCache::tile_epoch(const double* tile) const noexcept {
   return impl_->epochs[h & (kEpochSlots - 1)].load(std::memory_order_acquire);
 }
 
-void PackedTileCache::set_capacity(std::size_t bytes) noexcept {
-  impl_->capacity.store(bytes, std::memory_order_relaxed);
-}
-
 std::size_t PackedTileCache::capacity_bytes() const noexcept {
-  return impl_->capacity.load(std::memory_order_relaxed);
+  return impl_->capacity;
 }
 
 namespace {
@@ -235,9 +220,7 @@ bool evict_one(Shard& sh) {
 }
 
 // Packs the full tile image (every depth slice) into dst; layout per
-// pack_geometry.hpp. Large slices go through the cooperative pack path
-// (pack_coop.hpp) so idle workers help fill the cache; the serial
-// fallback writes byte-identical panels.
+// pack_geometry.hpp.
 void fill_panels(const double* tile, int dim, int k, PackFlavor flavor,
                  const PackGeometry& g, double* dst) {
   using namespace detail;
@@ -245,16 +228,14 @@ void fill_panels(const double* tile, int dim, int k, PackFlavor flavor,
     const int kc = std::min(g.kc, k - pc);
     if (flavor == PackFlavor::kB) {
       const double* src = tile + static_cast<std::ptrdiff_t>(pc) * dim;
-      if (!coop_pack_b(kc, dim, src, dim, BLayout::kNT, dst))
-        pack_b(kc, dim, src, dim, BLayout::kNT, dst);
+      pack_b(kc, dim, src, dim, BLayout::kNT, dst);
       dst += static_cast<std::size_t>(round_up(dim, kNR)) *
              static_cast<std::size_t>(kc);
     } else {
       for (int ic = 0; ic < dim; ic += g.mc) {
         const int mc = std::min(g.mc, dim - ic);
         const double* src = tile + ic + static_cast<std::ptrdiff_t>(pc) * dim;
-        if (!coop_pack_a(mc, kc, src, dim, dst))
-          pack_a(mc, kc, src, dim, dst);
+        pack_a(mc, kc, src, dim, dst);
         dst += static_cast<std::size_t>(round_up(mc, kMR)) *
                static_cast<std::size_t>(kc);
       }
@@ -275,15 +256,9 @@ bool PackedTileCache::acquire(const double* tile, int dim, int k,
   const std::uint64_t meta =
       make_meta(tile_epoch(tile), dim, k, flavor, geometry_id);
   // Epoch-independent hash: a repack after a bump lands in the same probe
-  // window, overwriting its own stale entry instead of leaking it. The
-  // shard comes from the caller's NUMA node group plus hash bits within
-  // the group, so the same tile hashes to the same shard *per node* --
-  // node-local hits, per-node replication of cross-node tiles.
+  // window, overwriting its own stale entry instead of leaking it.
   const std::uint64_t h = mix(ptr ^ (meta << 32));
-  const std::size_t group =
-      static_cast<std::size_t>(detail::current_numa_node()) % impl_->nnodes;
-  Shard& sh = impl_->shards[group * impl_->shards_per_node +
-                            ((h >> 48) & (impl_->shards_per_node - 1))];
+  Shard& sh = impl_->shards[(h >> 48) & (impl_->nshards - 1)];
   const std::size_t mask = sh.nslots - 1;
   Slot* const slots = sh.slots.get();
 
@@ -316,8 +291,7 @@ bool PackedTileCache::acquire(const double* tile, int dim, int k,
                                        ? detail::a_pack_doubles(dim, k, g)
                                        : detail::b_pack_doubles(dim, k);
   const std::size_t need = (need_doubles * sizeof(double) + 63) / 64 * 64;
-  const std::size_t budget =
-      impl_->capacity.load(std::memory_order_relaxed) / impl_->nshards;
+  const std::size_t budget = impl_->capacity / impl_->nshards;
   if (need == 0 || need > budget) return false;
 
   // Victim slot: prefer an empty one, then a stale entry for the same
@@ -369,12 +343,6 @@ bool PackedTileCache::acquire(const double* tile, int dim, int k,
       if (!evict_one(sh)) return false;
     data = alloc_panels(need);
     if (data == nullptr) return false;
-    // First-touch: commit the fresh pages from this thread so the kernel
-    // places them on the caller's NUMA node. fill_panels() would touch
-    // them anyway, but its cooperative path may hand slices to helpers on
-    // other nodes -- the memset pins placement to the consuming node
-    // before any helper writes.
-    std::memset(data, 0, need);
     sh.resident += need;
   }
   fill_panels(tile, dim, k, flavor, g, data);
@@ -429,66 +397,11 @@ std::size_t PackedTileCache::resident_bytes() const {
   return total;
 }
 
-// ---- process instance, environment, binding --------------------------------
-
-namespace {
-
-struct EnvConfig {
-  bool enabled;
-  std::size_t capacity_bytes;
-};
-
-const EnvConfig& env_config() {
-  static const EnvConfig cfg = [] {
-    EnvConfig c{true, PackedTileCache::kDefaultCapacityBytes};
-    const char* e = std::getenv("HETSCHED_PACK_CACHE");
-    if (e == nullptr || *e == '\0' || std::strcmp(e, "on") == 0) return c;
-    if (std::strcmp(e, "off") == 0 || std::strcmp(e, "0") == 0) {
-      c.enabled = false;
-      return c;
-    }
-    char* end = nullptr;
-    const long long mib = std::strtoll(e, &end, 10);
-    if (end != e && *end == '\0' && mib > 0 &&
-        static_cast<unsigned long long>(mib) <=
-            (std::numeric_limits<std::size_t>::max() >> 20))
-      c.capacity_bytes = static_cast<std::size_t>(mib) << 20;
-    // Unparsable, negative, or out-of-range values keep the default-on
-    // configuration.
-    return c;
-  }();
-  return cfg;
-}
-
-}  // namespace
+// ---- process instance, binding ---------------------------------------------
 
 PackedTileCache& process_pack_cache() {
-  static PackedTileCache* const cache = [] {
-    PackedTileCache::Config cfg;
-    cfg.capacity_bytes = env_config().capacity_bytes;
-    return new PackedTileCache(cfg);  // never destroyed, by design
-  }();
+  static PackedTileCache* const cache = new PackedTileCache();  // never freed
   return *cache;
-}
-
-bool pack_cache_env_enabled() { return env_config().enabled; }
-
-std::size_t pack_cache_env_capacity_bytes() {
-  return env_config().capacity_bytes;
-}
-
-PackedTileCache* resolve_pack_cache(const PackCacheOptions& opt) {
-  const bool on =
-      opt.mode == PackCacheOptions::Mode::kOn ||
-      (opt.mode == PackCacheOptions::Mode::kAuto && pack_cache_env_enabled());
-  if (!on) return nullptr;
-  PackedTileCache& cache = process_pack_cache();
-  // Capacity is explicit per run: without an override the process cache is
-  // reset to the environment default, so consecutive runs in one process
-  // never inherit each other's budgets.
-  cache.set_capacity(opt.capacity_mib > 0 ? opt.capacity_mib << 20
-                                          : pack_cache_env_capacity_bytes());
-  return &cache;
 }
 
 PackCacheBinding::PackCacheBinding(PackedTileCache* cache) noexcept

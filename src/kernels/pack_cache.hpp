@@ -10,14 +10,6 @@
 //     kc/mc geometry generation);
 //   * sharded, with a lock-free hit path (atomic key words + a ref-count
 //     pin); only fills and evictions take the shard mutex;
-//   * NUMA-aware: shards are grouped per node and a thread always probes
-//     its own node's group, so a miss fills -- and first-touches -- the
-//     packed image in node-local memory and every later hit from that
-//     node reads locally. Hot tiles consumed on several nodes are packed
-//     once per node (deliberate replication: the copies cost capacity,
-//     remote-traffic-free hits pay for them). Epochs stay global, so an
-//     epoch bump invalidates every node's copy at once. On single-node
-//     machines the grouping degenerates to the flat layout.
 //   * bounded (capacity in bytes) with ref-count-aware clock eviction:
 //     pinned panels are never evicted, recently-used ones get a second
 //     chance;
@@ -57,12 +49,8 @@ class PackedTileCache {
  public:
   struct Config {
     std::size_t capacity_bytes = kDefaultCapacityBytes;
-    int shards = 8;           ///< per NUMA node; rounded up to a power of two
+    int shards = 8;             ///< rounded up to a power of two
     int slots_per_shard = 512;  ///< rounded up to a power of two
-    /// NUMA node groups to shard across; 0 probes the machine
-    /// (detail::numa_node_count()). Tests set this explicitly to exercise
-    /// multi-node placement on single-node hosts.
-    int numa_nodes = 0;
   };
   static constexpr std::size_t kDefaultCapacityBytes = 256ull << 20;
 
@@ -122,10 +110,8 @@ class PackedTileCache {
   void bump_epoch(const double* tile) noexcept;
   std::uint64_t tile_epoch(const double* tile) const noexcept;
 
-  /// Byte budget; shrinking applies lazily as later fills evict. Split
-  /// evenly across shards (a panel larger than one shard's share is never
-  /// cached).
-  void set_capacity(std::size_t bytes) noexcept;
+  /// Byte budget, fixed at construction. Split evenly across shards (a
+  /// panel larger than one shard's share is never cached).
   std::size_t capacity_bytes() const noexcept;
 
   /// Drops every unpinned panel (pinned ones survive until released and
@@ -140,33 +126,10 @@ class PackedTileCache {
   Impl* impl_;
 };
 
-/// The process-wide instance, lazily constructed with the environment
-/// capacity and intentionally never destroyed (worker threads may release
-/// pins during static teardown).
+/// The process-wide instance the compute backend binds when a run has
+/// RunOptions::pack_cache set; default Config, intentionally never
+/// destroyed (worker threads may release pins during static teardown).
 PackedTileCache& process_pack_cache();
-
-/// HETSCHED_PACK_CACHE: unset/"on" -> enabled at the default capacity,
-/// "off"/"0" -> disabled, an integer -> enabled with that capacity in MiB.
-bool pack_cache_env_enabled();
-std::size_t pack_cache_env_capacity_bytes();
-
-/// Per-run knob carried by runtime::RunOptions / ExecOptions.
-struct PackCacheOptions {
-  enum class Mode {
-    kAuto,  ///< follow HETSCHED_PACK_CACHE (default: on)
-    kOn,
-    kOff,
-  };
-  Mode mode = Mode::kAuto;
-  /// When > 0, overrides the process cache capacity (MiB) for this run;
-  /// 0 resets it to the environment default (overrides never persist
-  /// across runs).
-  std::size_t capacity_mib = 0;
-};
-
-/// Resolves a run's knob against the environment: the process cache when
-/// enabled (with any capacity override applied), nullptr when disabled.
-PackedTileCache* resolve_pack_cache(const PackCacheOptions& opt);
 
 /// RAII: makes `cache` the one kernel calls on this thread consult
 /// (nullptr = bypass). Nesting restores the previous binding.

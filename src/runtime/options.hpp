@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "kernels/pack_cache.hpp"
 #include "runtime/cancel.hpp"
 
 namespace hetsched {
@@ -42,12 +41,12 @@ struct RunOptions {
   /// default -- leaves the run bit-for-bit identical to one without the
   /// fault subsystem.
   FaultPlan faults;
-  /// Packed-tile cache policy of the compute backend (see
-  /// docs/kernels.md): kAuto follows HETSCHED_PACK_CACHE (on by default),
-  /// kOn / kOff override it, capacity_mib > 0 overrides the process
-  /// cache's byte budget. The other backends run no numeric kernels and
+  /// The compute backend's kernels read packed panels through the
+  /// process-wide PackedTileCache (see docs/kernels.md); false packs per
+  /// call instead, the A/B switch of the bit-for-bit tests and the
+  /// cache-on/off benches. The other backends run no numeric kernels and
   /// ignore it.
-  kernels::PackCacheOptions pack_cache;
+  bool pack_cache = true;
   /// Streaming observability (see src/obs and docs/observability.md):
   /// when non-null, every backend emits compute/transfer/fault events
   /// into the streamer's lock-free rings as they happen; the engine runs

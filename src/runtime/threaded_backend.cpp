@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/numeric_error.hpp"
-#include "kernels/pack_coop.hpp"
 #include "kernels/pack_geometry.hpp"
 #include "kernels/scratch.hpp"
 #include "obs/event.hpp"
@@ -318,17 +317,6 @@ void ThreadedBackend::drive(RunEngine& engine) {
       }
       const int task = sched.pop_task(host, worker);
       if (task < 0) {
-        // No ready task: help a packing peer before parking. Assisting
-        // outside the runtime mutex keeps the scheduler path unaffected;
-        // the continue re-polls the queue in case a task became ready
-        // while we packed.
-        if (kernels::pack_work_available()) {
-          lock.unlock();
-          while (kernels::assist_pack_once()) {
-          }
-          lock.lock();
-          continue;
-        }
         if (starved(worker)) {
           const SchedulerError diag = lifecycle.starvation_error(
               sched.name(), num_threads, [&](int id) {
@@ -507,22 +495,10 @@ void ThreadedBackend::drive(RunEngine& engine) {
 
   std::thread service;
   if (fr) service = std::thread(service_loop);
-  // Register this pool as a pack-helper target: a publishing thread nudges
-  // our idle workers through the ready-queue condition variable. Taking mu
-  // inside the callback closes the lost-wakeup window between a worker's
-  // pack_work_available() check and its cv wait. Registered only while
-  // more than one worker exists -- a lone worker can never assist itself.
-  int pack_reg = -1;
-  if (num_threads > 1)
-    pack_reg = kernels::register_pack_helpers([&mu, &cv_work] {
-      std::lock_guard<std::mutex> lock(mu);
-      cv_work.notify_all();
-    });
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(num_threads));
   for (int w = 0; w < num_threads; ++w) threads.emplace_back(worker_loop, w);
   for (std::thread& t : threads) t.join();
-  if (pack_reg >= 0) kernels::unregister_pack_helpers(pack_reg);
   if (fr) {
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -591,7 +567,8 @@ void ComputeBackend::on_drive_start(RunEngine& engine) {
             " accesses handle " + std::to_string(a.tile) +
             " outside the tile store (" +
             std::to_string(store_.num_handles()) + " handles)");
-  cache_ = kernels::resolve_pack_cache(engine.options().pack_cache);
+  cache_ = engine.options().pack_cache ? &kernels::process_pack_cache()
+                                       : nullptr;
   if (cache_ == nullptr) return;
   // Blocks routinely reuse freed addresses across runs, so orphan any
   // panel cached for a previous occupant of this memory before the first

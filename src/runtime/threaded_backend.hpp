@@ -116,7 +116,7 @@ class ComputeBackend final : public ThreadedBackend {
   std::mutex result_mu_;  // guards results_ and first_numeric_
   std::vector<JobRunResult> results_;
   std::string first_numeric_;
-  /// Resolved per run from RunOptions::pack_cache (nullptr = disabled).
+  /// The process cache when RunOptions::pack_cache is set, else nullptr.
   kernels::PackedTileCache* cache_ = nullptr;
   kernels::PackCacheStats cache_baseline_;
 };

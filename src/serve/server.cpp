@@ -186,7 +186,6 @@ void FactorizationServer::run_batch(std::vector<JobPtr>& batch,
   RunOptions ropt;
   ropt.record_trace = false;  // long-lived server: stream, don't accumulate
   ropt.faults = opt_.faults;
-  ropt.pack_cache = opt_.pack_cache;
   ropt.stream = &streamer_;
   ropt.cancel = batch_cancel;
   RunEngine engine(plan.graph, calibration_, *sched, ropt);

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
-#include "kernels/pack_cache.hpp"
 #include "obs/sink.hpp"
 #include "obs/stream.hpp"
 #include "platform/platform.hpp"
@@ -55,7 +54,6 @@ struct ServerOptions {
   /// Injected into every batch run (tests, CI smoke, chaos drills).
   /// Death times are relative to each batch run's start.
   FaultPlan faults;
-  kernels::PackCacheOptions pack_cache;
 };
 
 /// Point-in-time health snapshot: serving counters plus the aggregated

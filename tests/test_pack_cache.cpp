@@ -17,7 +17,6 @@
 #include "core/tile_matrix.hpp"
 #include "exec/parallel_executor.hpp"
 #include "kernels/gemm_packed.hpp"
-#include "kernels/numa.hpp"
 #include "kernels/pack_geometry.hpp"
 #include "kernels/ref.hpp"
 
@@ -32,8 +31,7 @@ ExecOptions exec_opts(int threads, bool cache_on) {
   ExecOptions opt;
   opt.num_threads = threads;
   opt.record_trace = false;
-  opt.pack_cache.mode = cache_on ? kernels::PackCacheOptions::Mode::kOn
-                                 : kernels::PackCacheOptions::Mode::kOff;
+  opt.pack_cache = cache_on;
   return opt;
 }
 
@@ -265,80 +263,6 @@ TEST(PackCache, ConcurrentAcquireBumpInvalidateStress) {
   const kernels::PackCacheStats s = cache.stats();
   EXPECT_EQ(s.hits + s.misses,
             static_cast<std::uint64_t>(kReaders) * kItersPerReader);
-}
-
-TEST(PackCache, NumaShardGroupsReplicatePerNodeShareEpochs) {
-  // Two simulated nodes (works on single-node CI via the topology
-  // overrides): each node's threads fill and hit their own shard group, a
-  // hot tile gets one replica per node, and an epoch bump invalidates
-  // every node's copy at once.
-  kd::set_numa_node_count_override(2);
-  PackedTileCache cache({/*capacity_bytes=*/8u << 20, /*shards=*/2,
-                         /*slots_per_shard=*/64, /*numa_nodes=*/2});
-  const int nb = 64;
-  std::vector<double> tile(static_cast<std::size_t>(nb) * nb);
-  for (std::size_t i = 0; i < tile.size(); ++i)
-    tile[i] = static_cast<double>(i % 73) * 0.25;
-  const auto ref = reference_b_image(tile.data(), nb);
-
-  kd::set_current_numa_node_override(0);
-  PackedTileCache::Handle h;
-  ASSERT_TRUE(cache.acquire(tile.data(), nb, nb, PackFlavor::kB, &h));
-  h.release();
-  ASSERT_TRUE(cache.acquire(tile.data(), nb, nb, PackFlavor::kB, &h));
-  h.release();
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  const std::size_t one_node_resident = cache.resident_bytes();
-
-  // Node 1 probes its own shard group: the first lookup misses and fills
-  // a node-local replica with the same bytes.
-  kd::set_current_numa_node_override(1);
-  ASSERT_TRUE(cache.acquire(tile.data(), nb, nb, PackFlavor::kB, &h));
-  ASSERT_EQ(std::memcmp(h.data(), ref.data(), ref.size() * sizeof(double)),
-            0);
-  h.release();
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.resident_bytes(), 2 * one_node_resident);
-  ASSERT_TRUE(cache.acquire(tile.data(), nb, nb, PackFlavor::kB, &h));
-  h.release();
-  EXPECT_EQ(cache.stats().hits, 2u);
-
-  // Epochs are global: one bump stales both replicas.
-  tile[0] = -99.0;
-  cache.bump_epoch(tile.data());
-  ASSERT_TRUE(cache.acquire(tile.data(), nb, nb, PackFlavor::kB, &h));
-  h.release();
-  kd::set_current_numa_node_override(0);
-  ASSERT_TRUE(cache.acquire(tile.data(), nb, nb, PackFlavor::kB, &h));
-  h.release();
-  EXPECT_EQ(cache.stats().misses, 4u);
-
-  kd::set_current_numa_node_override(-1);
-  kd::set_numa_node_count_override(0);
-}
-
-TEST(PackCache, NumaProbeReportsAtLeastOneNode) {
-  ASSERT_GE(kd::numa_node_count(), 1);
-  const int node = kd::current_numa_node();
-  EXPECT_GE(node, 0);
-  EXPECT_LT(node, kd::numa_node_count());
-  // The count override steers shard-group selection for tests.
-  kd::set_numa_node_count_override(4);
-  EXPECT_EQ(kd::numa_node_count(), 4);
-  kd::set_current_numa_node_override(7);  // clamped to the node count
-  EXPECT_EQ(kd::current_numa_node(), 3);
-  kd::set_current_numa_node_override(-1);
-  kd::set_numa_node_count_override(0);
-  EXPECT_GE(kd::numa_node_count(), 1);
-}
-
-TEST(PackCache, EnvAndOptionsResolution) {
-  kernels::PackCacheOptions opt;
-  opt.mode = kernels::PackCacheOptions::Mode::kOff;
-  EXPECT_EQ(kernels::resolve_pack_cache(opt), nullptr);
-  opt.mode = kernels::PackCacheOptions::Mode::kOn;
-  EXPECT_EQ(kernels::resolve_pack_cache(opt), &kernels::process_pack_cache());
 }
 
 }  // namespace

@@ -8,18 +8,18 @@
 //   * reruns with the same seed are bit-identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
-
-#include <algorithm>
+#include <string>
+#include <tuple>
 
 #include "bounds/bounds.hpp"
 #include "core/dependency_tracker.hpp"
 #include "platform/calibration.hpp"
 #include "sched/dmda.hpp"
-#include "sched/eager_sched.hpp"
 #include "sched/random_sched.hpp"
-#include "sched/ws_sched.hpp"
+#include "sched/scheduler_registry.hpp"
 #include "sim/simulator.hpp"
 #include "tests/test_util.hpp"
 
@@ -112,42 +112,32 @@ void check_invariants(const TaskGraph& g, const Platform& p,
             area_bound_for(histogram_of(g), p).makespan_s - 1e-9);
 }
 
-struct PropertyCase {
-  unsigned seed;
-  int sched_id;  // 0 eager, 1 random, 2 dmda, 3 dmdas, 4 ws, 5 dmdar
-};
-
-class RandomDagProperty : public ::testing::TestWithParam<PropertyCase> {};
+// Every registered policy under every seed: sweeping the registry means a
+// newly registered policy is checked without touching this file.
+class RandomDagProperty
+    : public ::testing::TestWithParam<std::tuple<unsigned, std::string>> {};
 
 TEST_P(RandomDagProperty, InvariantsHoldOnMirage) {
-  const auto [seed, sched_id] = GetParam();
+  const auto& [seed, policy] = GetParam();
   const TaskGraph g = random_dag(6, 8, 12, seed);
   ASSERT_TRUE(g.is_dag());
   const Platform p = mirage_platform();
-
-  std::unique_ptr<Scheduler> sched;
-  switch (sched_id) {
-    case 0: sched = std::make_unique<EagerScheduler>(); break;
-    case 1: sched = std::make_unique<RandomScheduler>(seed); break;
-    case 2: sched = std::make_unique<DmdaScheduler>(make_dmda()); break;
-    case 3: sched = std::make_unique<DmdaScheduler>(make_dmdas(g, p)); break;
-    case 4: sched = std::make_unique<WorkStealingScheduler>(); break;
-    default: sched = std::make_unique<DmdaScheduler>(make_dmdar()); break;
-  }
+  const std::unique_ptr<Scheduler> sched =
+      sched::make_scheduler(policy, g, p, seed);
   const RunReport r = simulate(g, p, *sched);
   check_invariants(g, p, r);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RandomDagProperty,
-    ::testing::Values(PropertyCase{1, 0}, PropertyCase{1, 1},
-                      PropertyCase{1, 2}, PropertyCase{1, 3},
-                      PropertyCase{1, 4}, PropertyCase{1, 5},
-                      PropertyCase{2, 2}, PropertyCase{2, 3},
-                      PropertyCase{3, 2}, PropertyCase{3, 5},
-                      PropertyCase{4, 3}, PropertyCase{5, 4},
-                      PropertyCase{6, 2}, PropertyCase{7, 3},
-                      PropertyCase{8, 5}, PropertyCase{9, 4}));
+    ::testing::Combine(::testing::Range(1u, 10u),
+                       ::testing::ValuesIn(sched::scheduler_names())),
+    [](const ::testing::TestParamInfo<RandomDagProperty::ParamType>& info) {
+      std::string name = std::get<1>(info.param) + "_seed" +
+                         std::to_string(std::get<0>(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(RandomDagProperty, InvariantsHoldUnderMemoryPressure) {
   for (unsigned seed = 1; seed <= 4; ++seed) {

@@ -15,9 +15,8 @@
 //             and pack-cache hit rate per max_batch at small nb); CI
 //             uploads this output as BENCH_serving.json
 //   --kernels-threads  thread-scaling grid (threads x nb) of cache-on
-//             execute_parallel runs through the threaded backend (the
-//             path where idle workers steal cooperative-packing slices);
-//             CI uploads this output as BENCH_kernels_threads.json
+//             execute_parallel runs through the threaded backend; CI
+//             uploads this output as BENCH_kernels_threads.json
 //   --bounds  bound-model registry grid (models x n_tiles on the no-comm
 //             mirage platform): bound seconds, bound GFLOP/s and the dmdas
 //             makespan / bound ratio per cell; CI uploads this output as
@@ -204,9 +203,7 @@ int run_runtime_bench(bool quick, const std::string& out_path) {
         hetsched::ExecOptions opt;
         opt.num_threads = threads;
         opt.record_trace = false;
-        opt.pack_cache.mode = cache_on
-                                  ? kernels::PackCacheOptions::Mode::kOn
-                                  : kernels::PackCacheOptions::Mode::kOff;
+        opt.pack_cache = cache_on;
         hetsched::RunReport rep = hetsched::execute_parallel(m, g, opt);
         if (!rep.success) {
           std::fprintf(stderr, "bench_to_json: runtime run failed: %s\n",
@@ -249,9 +246,7 @@ int run_runtime_bench(bool quick, const std::string& out_path) {
 }
 
 /// Thread-scaling grid: cache-on execute_parallel runs at 1/2/4/8 worker
-/// threads so CI tracks how the threaded backend scales. This is also the
-/// path where idle workers steal cooperative-packing slices, so regressions
-/// in the pack-assist protocol show up here as lost scaling. Thread counts
+/// threads so CI tracks how the threaded backend scales. Thread counts
 /// above the hardware are still measured (flagged via "oversubscribed") —
 /// on a small CI VM the 8-thread row documents the ceiling, not a speedup.
 int run_kernels_threads_bench(bool quick, const std::string& out_path) {
@@ -287,7 +282,6 @@ int run_kernels_threads_bench(bool quick, const std::string& out_path) {
         hetsched::ExecOptions opt;
         opt.num_threads = threads;
         opt.record_trace = false;
-        opt.pack_cache.mode = kernels::PackCacheOptions::Mode::kOn;
         hetsched::RunReport rep = hetsched::execute_parallel(m, g, opt);
         if (!rep.success) {
           std::fprintf(stderr, "bench_to_json: threads run failed: %s\n",

@@ -2,9 +2,12 @@
 //
 //   hetsched_serve --socket=PATH [--threads=T] [--max-batch=B]
 //                  [--policy=SPEC] [--max-depth=D] [--max-latency-ms=L]
-//                  [--retries=R] [--seed=S] [--pack-cache=on|off|MiB]
-//                  [--default-deadline-ms=D]
+//                  [--retries=R] [--seed=S] [--default-deadline-ms=D]
 //                  [--kill-worker=W --kill-at=T]
+//
+// Every numeric flag must parse whole and lie in range (counts positive,
+// retries, times and ids non-negative); anything else exits 2 with the
+// usage text before the socket is opened.
 //
 // --policy takes a SchedulerRegistry spec ("priority", "ws",
 // "hybrid:static_fraction=0.6", ...; --policy=help lists them); it drives
@@ -35,6 +38,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,8 +70,7 @@ void on_terminate(int) {
                "[--max-batch=B]\n"
                "       [--policy=SPEC] (--policy=help lists policies)\n"
                "       [--max-depth=D] [--max-latency-ms=L] [--retries=R]\n"
-               "       [--seed=S] [--pack-cache=on|off|MiB] "
-               "[--default-deadline-ms=D]\n"
+               "       [--seed=S] [--default-deadline-ms=D]\n"
                "       [--kill-worker=W --kill-at=T]\n"
                "       (see the header of tools/hetsched_serve.cpp and "
                "docs/serving.md)\n");
@@ -86,6 +90,29 @@ bool flag(const std::string& arg, const char* name, std::string* out) {
   return true;
 }
 
+/// The value of --`name` as a whole decimal integer in [min, max], else
+/// usage().
+long long int_value(const std::string& v, const char* name, long long min,
+                    long long max = INT_MAX) {
+  errno = 0;
+  char* end = nullptr;
+  const long long x = std::strtoll(v.c_str(), &end, 10);
+  if (v.empty() || *end != '\0' || errno != 0 || x < min || x > max)
+    usage(("--" + std::string(name) + " takes an integer in [" +
+           std::to_string(min) + ", " + std::to_string(max) + "]")
+              .c_str());
+  return x;
+}
+
+/// The value of --`name` as a whole finite number >= 0, else usage().
+double nonneg_value(const std::string& v, const char* name) {
+  char* end = nullptr;
+  const double x = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0' || !std::isfinite(x) || x < 0.0)
+    usage(("--" + std::string(name) + " takes a number >= 0").c_str());
+  return x;
+}
+
 DaemonArgs parse(int argc, char** argv) {
   DaemonArgs a;
   int kill_worker = -1;
@@ -94,45 +121,32 @@ DaemonArgs parse(int argc, char** argv) {
     const std::string arg = argv[i];
     std::string v;
     if (flag(arg, "socket", &v)) a.socket_path = v;
-    else if (flag(arg, "threads", &v)) a.server.threads = std::atoi(v.c_str());
+    else if (flag(arg, "threads", &v))
+      a.server.threads = static_cast<int>(int_value(v, "threads", 1));
     else if (flag(arg, "max-batch", &v))
-      a.server.max_batch = std::atoi(v.c_str());
+      a.server.max_batch = static_cast<int>(int_value(v, "max-batch", 1));
     else if (flag(arg, "policy", &v)) a.server.policy = v;
     else if (flag(arg, "max-depth", &v))
       a.server.admission.max_depth =
-          static_cast<std::size_t>(std::atoi(v.c_str()));
+          static_cast<std::size_t>(int_value(v, "max-depth", 1));
     else if (flag(arg, "max-latency-ms", &v))
-      a.server.admission.max_latency_ms = std::atof(v.c_str());
+      a.server.admission.max_latency_ms = nonneg_value(v, "max-latency-ms");
     else if (flag(arg, "retries", &v))
-      a.server.retry.max_retries = std::atoi(v.c_str());
+      a.server.retry.max_retries = static_cast<int>(int_value(v, "retries", 0));
     else if (flag(arg, "seed", &v))
-      a.server.seed = static_cast<unsigned>(std::atoi(v.c_str()));
+      a.server.seed = static_cast<unsigned>(int_value(v, "seed", 0, UINT_MAX));
     else if (flag(arg, "default-deadline-ms", &v))
-      a.default_deadline_ms = std::atof(v.c_str());
-    else if (flag(arg, "kill-worker", &v)) kill_worker = std::atoi(v.c_str());
-    else if (flag(arg, "kill-at", &v)) kill_at = std::atof(v.c_str());
-    else if (flag(arg, "pack-cache", &v)) {
-      if (v == "on") {
-        a.server.pack_cache.mode = kernels::PackCacheOptions::Mode::kOn;
-      } else if (v == "off") {
-        a.server.pack_cache.mode = kernels::PackCacheOptions::Mode::kOff;
-      } else {
-        const int mib = std::atoi(v.c_str());
-        if (mib <= 0) usage("--pack-cache takes on, off or a capacity in MiB");
-        a.server.pack_cache.mode = kernels::PackCacheOptions::Mode::kOn;
-        a.server.pack_cache.capacity_mib = static_cast<std::size_t>(mib);
-      }
-    } else {
-      usage(("unknown option " + arg).c_str());
-    }
+      a.default_deadline_ms = nonneg_value(v, "default-deadline-ms");
+    else if (flag(arg, "kill-worker", &v))
+      kill_worker = static_cast<int>(int_value(v, "kill-worker", 0));
+    else if (flag(arg, "kill-at", &v)) kill_at = nonneg_value(v, "kill-at");
+    else usage(("unknown option " + arg).c_str());
   }
   if (a.server.policy == "help" || a.server.policy == "list") {
     std::fputs(sched::scheduler_help_text().c_str(), stdout);
     std::exit(0);
   }
   if (a.socket_path.empty()) usage("missing --socket=PATH");
-  if (a.server.threads <= 0) usage("--threads must be positive");
-  if (a.server.max_batch <= 0) usage("--max-batch must be positive");
   if (kill_worker >= 0)
     a.server.faults.deaths.push_back({kill_worker, kill_at});
   return a;
