@@ -257,66 +257,66 @@ BENCHMARK(BM_KernelGemmNTPackCache<true>)
     ->Arg(480)
     ->Unit(benchmark::kMillisecond);
 
-#define HETSCHED_KERNEL_BENCH(name)                                        \
-  BENCHMARK(name<false>)                                                   \
-      ->Name(#name "/ref")                                                 \
-      ->Arg(192)                                                           \
-      ->Arg(480)                                                           \
-      ->Arg(960)                                                           \
-      ->Unit(benchmark::kMillisecond);                                     \
-  BENCHMARK(name<true>)                                                    \
-      ->Name(#name "/opt")                                                 \
-      ->Arg(192)                                                           \
-      ->Arg(480)                                                           \
-      ->Arg(960)                                                           \
-      ->Unit(benchmark::kMillisecond)
+// The paper's tile sizes; TRSM and POTRF also run at the serving (64) and
+// factor-large (320) tile sizes, where their base-case solves dominate.
+void paper_sizes(benchmark::internal::Benchmark* b) {
+  b->Arg(192)->Arg(480)->Arg(960)->Unit(benchmark::kMillisecond);
+}
 
-HETSCHED_KERNEL_BENCH(BM_KernelPotrf);
-HETSCHED_KERNEL_BENCH(BM_KernelTrsm);
-HETSCHED_KERNEL_BENCH(BM_KernelSyrk);
-HETSCHED_KERNEL_BENCH(BM_KernelGemmNT);
+void base_case_sizes(benchmark::internal::Benchmark* b) {
+  b->Arg(64)->Arg(320);
+  paper_sizes(b);
+}
+
+#define HETSCHED_KERNEL_BENCH(name, sizes)                                 \
+  BENCHMARK(name<false>)->Name(#name "/ref")->Apply(sizes);                \
+  BENCHMARK(name<true>)->Name(#name "/opt")->Apply(sizes)
+
+HETSCHED_KERNEL_BENCH(BM_KernelPotrf, base_case_sizes);
+HETSCHED_KERNEL_BENCH(BM_KernelTrsm, base_case_sizes);
+HETSCHED_KERNEL_BENCH(BM_KernelSyrk, paper_sizes);
+HETSCHED_KERNEL_BENCH(BM_KernelGemmNT, paper_sizes);
 
 #undef HETSCHED_KERNEL_BENCH
 
-// ---- Per-tier GEMM: generic vs avx2 vs avx512 on the same packed engine ----
+// ---- Per tier: generic vs avx2 vs avx512 on the same engine ----------------
 //
 // Registered dynamically so only tiers the CPU supports appear (the
 // clamped ones would silently duplicate their fallback and pollute
-// comparisons). The avx512-vs-avx2 ratio at nb=960 is the PR's register
-// tile acceptance number.
+// comparisons). GEMM rows give the register-tile ratio at nb=960; TRSM and
+// POTRF rows give each tier's base-case solves at the serving and
+// factor-large tile sizes.
 
-void gemm_at_tier(benchmark::State& state, kernels::Tier tier) {
-  const int nb = static_cast<int>(state.range(0));
-  const auto a = noise_tile(nb, 1);
-  const auto b = noise_tile(nb, 2);
-  auto c = noise_tile(nb, 3);
+template <void (*kBench)(benchmark::State&)>
+void at_tier(benchmark::State& state, kernels::Tier tier) {
   kernels::set_engine_tier(tier);
-  kernels::gemm(nb, a.data(), nb, b.data(), nb, c.data(), nb);  // warm-up
-  for (auto _ : state) {
-    kernels::gemm(nb, a.data(), nb, b.data(), nb, c.data(), nb);
-    benchmark::DoNotOptimize(c[0]);
-  }
+  kBench(state);
   kernels::reset_engine_tier();
-  flops_rate(state, Kernel::GEMM);
 }
 
 int register_tier_benches() {
-  for (const kernels::Tier t :
-       {kernels::Tier::kGeneric, kernels::Tier::kAvx2,
-        kernels::Tier::kAvx512}) {
-    if (static_cast<int>(t) > static_cast<int>(kernels::native_tier()))
-      continue;
-    const std::string name =
-        std::string("BM_KernelGemmNT/tier:") + kernels::tier_name(t);
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [t](benchmark::State& s) {
-                                   gemm_at_tier(s, t);
-                                 })
-        ->Arg(192)
-        ->Arg(480)
-        ->Arg(960)
-        ->Unit(benchmark::kMillisecond);
-  }
+  struct TierBench {
+    const char* name;
+    void (*run)(benchmark::State&, kernels::Tier);
+    void (*sizes)(benchmark::internal::Benchmark*);
+  };
+  const TierBench benches[] = {
+      {"BM_KernelGemmNT", at_tier<BM_KernelGemmNT<true>>, paper_sizes},
+      {"BM_KernelTrsm", at_tier<BM_KernelTrsm<true>>, base_case_sizes},
+      {"BM_KernelPotrf", at_tier<BM_KernelPotrf<true>>, base_case_sizes},
+  };
+  for (const TierBench& bench : benches)
+    for (const kernels::Tier t :
+         {kernels::Tier::kGeneric, kernels::Tier::kAvx2,
+          kernels::Tier::kAvx512}) {
+      if (static_cast<int>(t) > static_cast<int>(kernels::native_tier()))
+        continue;
+      const std::string name =
+          std::string(bench.name) + "/tier:" + kernels::tier_name(t);
+      benchmark::RegisterBenchmark(
+          name.c_str(), [run = bench.run, t](benchmark::State& s) { run(s, t); })
+          ->Apply(bench.sizes);
+    }
   return 0;
 }
 const int kTierBenchesRegistered = register_tier_benches();

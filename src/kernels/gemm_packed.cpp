@@ -69,6 +69,54 @@ void micro_8x4_generic(int kc, const double* pa, const double* pb,
   for (int x = 0; x < kMR * kNR; ++x) acc[x] = c[x];
 }
 
+namespace {
+
+// Columns [j0, j1) of one kRows-tall strip of X * L^T = A, two columns
+// per pass; the generic counterpart of trsm_strip_avx512.
+template <int kRows>
+void trsm_strip_generic(int j0, int j1, const double* l, int ldl, double* a,
+                        int lda) {
+  const auto col = [&](int j) {
+    return a + static_cast<std::ptrdiff_t>(j) * lda;
+  };
+  const auto lv = [&](int i, int j) {
+    return l[i + static_cast<std::ptrdiff_t>(j) * ldl];
+  };
+  for (int j = j0; j < j1; j += 2) {
+    const bool pair = j + 1 < j1;
+    double c0[std::size_t{kRows}], c1[std::size_t{kRows}];
+    for (int r = 0; r < kRows; ++r) {
+      c0[r] = col(j)[r];
+      c1[r] = pair ? col(j + 1)[r] : 0.0;
+    }
+    for (int p = 0; p < j; ++p) {
+      const double w0 = lv(j, p), w1 = pair ? lv(j + 1, p) : 0.0;
+      const double* xp = col(p);
+      if (w0 != 0.0)
+        for (int r = 0; r < kRows; ++r) c0[r] -= w0 * xp[r];
+      if (w1 != 0.0)
+        for (int r = 0; r < kRows; ++r) c1[r] -= w1 * xp[r];
+    }
+    const double inv0 = 1.0 / lv(j, j);
+    for (int r = 0; r < kRows; ++r) col(j)[r] = c0[r] *= inv0;
+    if (!pair) break;
+    if (const double w = lv(j + 1, j); w != 0.0)
+      for (int r = 0; r < kRows; ++r) c1[r] -= w * c0[r];
+    const double inv1 = 1.0 / lv(j + 1, j + 1);
+    for (int r = 0; r < kRows; ++r) col(j + 1)[r] = c1[r] * inv1;
+  }
+}
+
+}  // namespace
+
+void trsm_rlt_generic(int m, int j0, int j1, const double* l, int ldl,
+                      double* a, int lda) {
+  int i = 0;
+  for (; i + kMR <= m; i += kMR)
+    trsm_strip_generic<kMR>(j0, j1, l, ldl, a + i, lda);
+  for (; i < m; ++i) trsm_strip_generic<1>(j0, j1, l, ldl, a + i, lda);
+}
+
 void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
                  const double* b, int ldb, BLayout layout, double* c, int ldc,
                  bool lower_only, const PackedView* packed_a,

@@ -90,6 +90,27 @@ void micro_8x4_avx2(int kc, const double* pa, const double* pb, double* acc);
 void micro_8x8_avx512(int kc, const double* pa, const double* pb0,
                       const double* pb1, double* acc);
 
+// ---- In-block TRSM solve ----------------------------------------------------
+//
+// Register-blocked replacement of ref::trsm_rlt, one per tier; it is the
+// base case of both the blocked TRSM and the POTRF panel
+// (kernels_opt.cpp). Rows run in strips of several vector registers; each
+// element is the reference's update chain over p = 0..j-1 in ascending
+// order (zero multipliers skipped, as there), then one multiply by
+// 1 / L(j,j). The vector tiers contract every update with FMA, so avx2 and
+// avx512 agree bitwise whatever their strip heights; generic multiplies
+// and subtracts like the reference.
+
+/// Columns [j0, j1) of X * L^T = A for the m-row block `a` (L lower
+/// triangular, at least j1 x j1); columns [0, j0) of `a` must already
+/// hold X. Overwrites the solved columns with X.
+void trsm_rlt_generic(int m, int j0, int j1, const double* l, int ldl,
+                      double* a, int lda);
+void trsm_rlt_avx2(int m, int j0, int j1, const double* l, int ldl,
+                   double* a, int lda);
+void trsm_rlt_avx512(int m, int j0, int j1, const double* l, int ldl,
+                     double* a, int lda);
+
 /// True when the running CPU reports AVX2 and FMA.
 bool avx2_supported();
 

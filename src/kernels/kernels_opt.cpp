@@ -1,17 +1,20 @@
 // Optimized implementations of the public tile-kernel API
 // (core/kernels.hpp): GEMM/SYRK run through the packed micro-kernel engine
-// (gemm_packed.hpp), TRSM and POTRF are blocked so nearly all of their
-// cycles are spent inside the same engine, and small tiles -- where packing
-// cannot amortize -- take the reference axpy loops unchanged. The LU panel
+// (gemm_packed.hpp), TRSM and POTRF are blocked so most of their cycles are
+// spent inside the same engine and the rest in register-blocked base-case
+// solves, and small GEMM/SYRK tiles -- where packing cannot amortize --
+// take the reference axpy loops unchanged. The LU panel
 // solves and the QR kernels delegate to the reference implementations (they
 // are a small fraction of their factorizations' flops; the LU trailing
 // update gemm_nn is packed).
 #include "core/kernels.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
+#include "kernels/engine.hpp"
 #include "kernels/gemm_packed.hpp"
 #include "kernels/pack_cache.hpp"
 #include "kernels/ref.hpp"
@@ -27,16 +30,80 @@ using detail::PackedView;
 constexpr std::int64_t kPackedWorkFloor = 32 * 32 * 32;
 
 // Column blocking of the right-lower-transpose TRSM: the in-block solve
-// stays on the reference loops, everything left of the block is one packed
+// runs in the tier's base case, everything left of the block is one packed
 // GEMM, so the non-GEMM fraction is ~kTrsmBlock/n of the flops.
 constexpr int kTrsmBlock = 32;
 
-// POTRF panel width: diagonal kPanel x kPanel factorizations stay
-// unblocked, panel solves and trailing updates run through the engine.
+// POTRF panel width: diagonal kPanel x kPanel factorizations run in the
+// tier's unblocked base case, panel solves and trailing updates through
+// the engine.
 constexpr int kPotrfPanel = 64;
 
 inline std::int64_t work(int m, int n, int k) {
   return static_cast<std::int64_t>(m) * n * k;
+}
+
+// The tier's in-block TRSM solve (gemm_packed.hpp).
+using SolveFn = void (*)(int m, int j0, int j1, const double* l, int ldl,
+                         double* a, int lda);
+
+SolveFn solve_for(Tier t) {
+  switch (t) {
+    case Tier::kAvx512:
+      return detail::trsm_rlt_avx512;
+    case Tier::kAvx2:
+      return detail::trsm_rlt_avx2;
+    case Tier::kGeneric:
+      break;
+  }
+  return detail::trsm_rlt_generic;
+}
+
+// The base cases dispatch like gemm_packed: one tier snapshot per call.
+void trsm_base(int m, int n, const double* l, int ldl, double* a, int lda) {
+  solve_for(engine_tier())(m, 0, n, l, ldl, a, lda);
+}
+
+// Left-looking unblocked Cholesky of the n x n block, two columns per
+// step. The pivots and the coupling entry L(j+1, j) are scalar chains in
+// ref::potrf_unblocked's per-element order; the rows below the pair are
+// columns [j, j+2) of the tier's in-block solve against the block's own
+// finished columns. Nothing above the diagonal is written, and on a
+// failing pivot every column left of it is final. Returns 0 or the
+// 1-based index of the first pivot that is not positive and finite.
+int potrf_base(int n, double* a, int lda) {
+  const SolveFn solve = solve_for(engine_tier());
+  const auto at = [&](int i, int j) -> double& {
+    return a[i + static_cast<std::ptrdiff_t>(j) * lda];
+  };
+  const auto bad = [](double d) { return d <= 0.0 || !std::isfinite(d); };
+  for (int j = 0; j < n; j += 2) {
+    const bool pair = j + 1 < n;
+    double d0 = at(j, j);
+    double e = pair ? at(j + 1, j) : 0.0;
+    double d1 = pair ? at(j + 1, j + 1) : 0.0;
+    for (int p = 0; p < j; ++p) {
+      const double w0 = at(j, p), w1 = pair ? at(j + 1, p) : 0.0;
+      if (w0 != 0.0) {
+        d0 -= w0 * w0;
+        e -= w1 * w0;
+      }
+      if (w1 != 0.0) d1 -= w1 * w1;
+    }
+    if (bad(d0)) return j + 1;
+    at(j, j) = std::sqrt(d0);
+    if (!pair) break;
+    e *= 1.0 / at(j, j);
+    at(j + 1, j) = e;
+    if (e != 0.0) d1 -= e * e;
+    if (bad(d1)) {
+      solve(n - j - 2, j, j + 1, a, lda, a + j + 2, lda);
+      return j + 2;
+    }
+    at(j + 1, j + 1) = std::sqrt(d1);
+    solve(n - j - 2, j, j + 2, a, lda, a + j + 2, lda);
+  }
+  return 0;
 }
 
 // Pins the cached full-image pack of an nb x nb tile in one flavor when
@@ -72,7 +139,7 @@ void trsm_rlt_blocked(int m, int n, const double* l, int ldl, double* a,
   static_assert(kTrsmBlock % detail::kNR == 0,
                 "cached TRSM column offsets must stay panel-aligned");
   if (n <= kTrsmBlock || work(m, n, n) < kPackedWorkFloor) {
-    ref::trsm_rlt(m, n, l, ldl, a, lda);
+    trsm_base(m, n, l, ldl, a, lda);
     return;
   }
   for (int j = 0; j < n; j += kTrsmBlock) {
@@ -91,8 +158,8 @@ void trsm_rlt_blocked(int m, int n, const double* l, int ldl, double* a,
       detail::gemm_packed(m, jb, j, -1.0, a, lda, l + j, ldl, BLayout::kNT,
                           aj, lda, /*lower_only=*/false, nullptr, vb);
     }
-    ref::trsm_rlt(m, jb, l + j + static_cast<std::ptrdiff_t>(j) * ldl, ldl,
-                  aj, lda);
+    trsm_base(m, jb, l + j + static_cast<std::ptrdiff_t>(j) * ldl, ldl, aj,
+              lda);
   }
 }
 
@@ -113,11 +180,11 @@ void syrk_ln_blocked(int n, int k, double alpha, const double* a, int lda,
 bool potrf(int nb, double* a, int lda) { return potrf_info(nb, a, lda) == 0; }
 
 int potrf_info(int nb, double* a, int lda) {
-  if (nb <= kPotrfPanel) return ref::potrf_unblocked(nb, a, lda);
+  if (nb <= kPotrfPanel) return potrf_base(nb, a, lda);
   for (int k = 0; k < nb; k += kPotrfPanel) {
     const int kb = std::min(kPotrfPanel, nb - k);
     double* akk = a + k + static_cast<std::ptrdiff_t>(k) * lda;
-    if (const int info = ref::potrf_unblocked(kb, akk, lda); info != 0)
+    if (const int info = potrf_base(kb, akk, lda); info != 0)
       return k + info;
     const int m = nb - k - kb;  // rows below the diagonal block
     if (m > 0) {

@@ -1,7 +1,8 @@
-// AVX-512F micro-kernel, compiled via a per-function target attribute so
-// the translation unit builds at the portable baseline ISA and the binary
-// stays runnable on machines without AVX-512; runtime dispatch
-// (engine.hpp) only routes here when the CPU reports AVX-512F.
+// AVX-512F micro-kernel and in-block TRSM solve, compiled via per-function
+// target attributes so the translation unit builds at the portable
+// baseline ISA and the binary stays runnable on machines without AVX-512;
+// runtime dispatch (engine.hpp) only routes here when the CPU reports
+// AVX-512F.
 //
 // The register tile is 8 rows x 8 columns: one ZMM load covers a full
 // kMR-tall packed A column, and the 8 accumulator columns come from TWO
@@ -16,6 +17,8 @@
 // loop is FMA-bound. Eight independent accumulators cover the FMA latency
 // exactly (one dependent issue per chain every 4 cycles).
 #include "kernels/gemm_packed.hpp"
+
+#include <cstddef>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HETSCHED_KERNELS_HAVE_AVX512_PATH 1
@@ -66,9 +69,118 @@ __attribute__((target("avx512f"))) void micro_8x8_avx512(int kc,
   _mm512_store_pd(acc + 7 * kMR, c7);
 }
 
+// ---- In-block TRSM solve ----------------------------------------------------
+//
+// Rows run in strips of up to kSolveVecs ZMM vectors (64 rows); a partial
+// last vector is read and written through a lane mask, so every row of
+// every strip performs the same FNMADD chain and the strip split never
+// shows in the result.
+
+namespace {
+
+constexpr int kSolveVecs = 8;
+
+// Columns [j0, j1) of one strip of X * L^T = A, kVecs ZMM vectors tall,
+// the last one masked by `tail` when kMasked. Two columns per pass share
+// every x_p load and keep 2 * kVecs independent FMA chains in flight; an
+// odd last column runs the same pass with its partner's multipliers zero.
+template <int kVecs, bool kMasked>
+__attribute__((target("avx512f"))) void trsm_strip_avx512(
+    int j0, int j1, const double* l, int ldl, double* a, int lda,
+    __mmask8 tail) {
+  const auto col = [&](int j) {
+    return a + static_cast<std::ptrdiff_t>(j) * lda;
+  };
+  const auto lv = [&](int i, int j) {
+    return l[i + static_cast<std::ptrdiff_t>(j) * ldl];
+  };
+  const auto load = [&](int v, const double* p)
+      __attribute__((target("avx512f"))) {
+        return kMasked && v == kVecs - 1
+                   ? _mm512_maskz_loadu_pd(tail, p + 8 * v)
+                   : _mm512_loadu_pd(p + 8 * v);
+      };
+  const auto store = [&](int v, double* p, __m512d x)
+      __attribute__((target("avx512f"))) {
+        if (kMasked && v == kVecs - 1)
+          _mm512_mask_storeu_pd(p + 8 * v, tail, x);
+        else
+          _mm512_storeu_pd(p + 8 * v, x);
+      };
+  for (int j = j0; j < j1; j += 2) {
+    const bool pair = j + 1 < j1;
+    __m512d c0[std::size_t{kVecs}], c1[std::size_t{kVecs}];
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) {
+      c0[v] = load(v, col(j));
+      c1[v] = pair ? load(v, col(j + 1)) : _mm512_setzero_pd();
+    }
+    for (int p = 0; p < j; ++p) {
+      const double w0 = lv(j, p), w1 = pair ? lv(j + 1, p) : 0.0;
+      const double* xp = col(p);
+      if (w0 != 0.0) {
+        const __m512d b = _mm512_set1_pd(w0);
+#pragma GCC unroll 8
+        for (int v = 0; v < kVecs; ++v)
+          c0[v] = _mm512_fnmadd_pd(b, load(v, xp), c0[v]);
+      }
+      if (w1 != 0.0) {
+        const __m512d b = _mm512_set1_pd(w1);
+#pragma GCC unroll 8
+        for (int v = 0; v < kVecs; ++v)
+          c1[v] = _mm512_fnmadd_pd(b, load(v, xp), c1[v]);
+      }
+    }
+    const __m512d inv0 = _mm512_set1_pd(1.0 / lv(j, j));
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) {
+      c0[v] = _mm512_mul_pd(c0[v], inv0);
+      store(v, col(j), c0[v]);
+    }
+    if (!pair) break;
+    if (const double w = lv(j + 1, j); w != 0.0) {
+      const __m512d b = _mm512_set1_pd(w);
+#pragma GCC unroll 8
+      for (int v = 0; v < kVecs; ++v)
+        c1[v] = _mm512_fnmadd_pd(b, c0[v], c1[v]);
+    }
+    const __m512d inv1 = _mm512_set1_pd(1.0 / lv(j + 1, j + 1));
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v)
+      store(v, col(j + 1), _mm512_mul_pd(c1[v], inv1));
+  }
+}
+
+}  // namespace
+
+void trsm_rlt_avx512(int m, int j0, int j1, const double* l, int ldl,
+                     double* a, int lda) {
+  constexpr int kRows = 8 * kSolveVecs;
+  int i = 0;
+  for (; i + kRows <= m; i += kRows)
+    trsm_strip_avx512<kSolveVecs, false>(j0, j1, l, ldl, a + i, lda, 0xFF);
+  const int rows = m - i;
+  if (rows == 0) return;
+  using Strip = void (*)(int, int, const double*, int, double*, int, __mmask8);
+  static constexpr Strip kTail[kSolveVecs] = {
+      trsm_strip_avx512<1, true>, trsm_strip_avx512<2, true>,
+      trsm_strip_avx512<3, true>, trsm_strip_avx512<4, true>,
+      trsm_strip_avx512<5, true>, trsm_strip_avx512<6, true>,
+      trsm_strip_avx512<7, true>, trsm_strip_avx512<8, true>};
+  const int vecs = (rows + 7) / 8;
+  const auto tail =
+      static_cast<__mmask8>((1u << (rows - 8 * (vecs - 1))) - 1u);
+  kTail[vecs - 1](j0, j1, l, ldl, a + i, lda, tail);
+}
+
 #else  // non-x86 or unsupported compiler: never selected at runtime
 
 bool avx512_supported() { return false; }
+
+void trsm_rlt_avx512(int m, int j0, int j1, const double* l, int ldl,
+                     double* a, int lda) {
+  trsm_rlt_generic(m, j0, j1, l, ldl, a, lda);
+}
 
 void micro_8x8_avx512(int kc, const double* pa, const double* pb0,
                       const double* pb1, double* acc) {

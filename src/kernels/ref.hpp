@@ -4,9 +4,10 @@
 // for tiles too small to amortize packing.
 //
 // The m/n/k-shaped helpers (gemm_nt, trsm_rlt, syrk_ln, potrf_unblocked)
-// are exposed as well: the blocked optimized kernels use them for panel
-// factorizations and clean-up blocks, and the tests use them to check
-// arbitrary sub-block shapes.
+// are exposed as well: the blocked optimized SYRK uses syrk_ln below the
+// packing floor, the optimized TRSM/POTRF base cases keep trsm_rlt's and
+// potrf_unblocked's per-element order (gemm_packed.hpp), and the tests use
+// them to check arbitrary sub-block shapes.
 #pragma once
 
 namespace hetsched::kernels::ref {

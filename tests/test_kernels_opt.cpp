@@ -3,16 +3,20 @@
 // Complements test_kernels.cpp (which validates the public API against
 // closed-form expectations at small/medium nb) with:
 //   * ref-vs-opt agreement across the packing edge cases: nb 1..8 (below
-//     one micro-tile), 63/64/65 (around the kMC/kKC-aligned sizes), 192,
-//     and the paper's 960;
+//     one micro-tile), 31/32/33 (around kTrsmBlock), 63/64/65 (around the
+//     kMC/kKC-aligned sizes and kPotrfPanel), 192, 320 (the factor-large
+//     tile) and the paper's 960;
 //   * non-trivial leading dimensions on every operand;
-//   * generic-vs-AVX2 tier agreement through set_engine_tier();
+//   * generic-vs-AVX2 and AVX2-vs-AVX-512 tier agreement through
+//     set_engine_tier(), and POTRF's failing-pivot index on every tier;
 //   * a full factorization residual through execute_parallel, i.e. the
 //     engine as the executors actually drive it (scratch pool bound).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "core/tile_matrix.hpp"
 #include "exec/parallel_executor.hpp"
 #include "kernels/engine.hpp"
+#include "kernels/gemm_packed.hpp"
 #include "kernels/ref.hpp"
 
 namespace hetsched {
@@ -141,8 +146,8 @@ TEST_P(OptVsRefSweep, Potrf) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PackingEdges, OptVsRefSweep,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65,
-                                           192, 960));
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 31, 32, 33,
+                                           63, 64, 65, 192, 320, 960));
 
 // ---- Non-trivial leading dimensions ----------------------------------------
 
@@ -269,6 +274,32 @@ void run_at_tier(kernels::Tier t, int nb, const std::vector<double>& a,
   kernels::reset_engine_tier();
 }
 
+// Inputs of one TRSM (against the Cholesky factor of an SPD tile) and one
+// POTRF, and their outputs at one tier.
+struct SolveInputs {
+  std::vector<double> l, rhs, spd;
+};
+
+SolveInputs solve_inputs(int nb, unsigned seed) {
+  SolveInputs in{spd_block(nb, nb, seed), random_block(nb, nb, seed + 1), {}};
+  in.spd = in.l;
+  EXPECT_EQ(kernels::potrf_info(nb, in.l.data(), nb), 0);
+  return in;
+}
+
+struct SolveOutputs {
+  std::vector<double> trsm, potrf;
+};
+
+SolveOutputs solves_at_tier(kernels::Tier t, int nb, const SolveInputs& in) {
+  SolveOutputs out{in.rhs, in.spd};
+  kernels::set_engine_tier(t);
+  kernels::trsm(nb, in.l.data(), nb, out.trsm.data(), nb);
+  EXPECT_EQ(kernels::potrf_info(nb, out.potrf.data(), nb), 0);
+  kernels::reset_engine_tier();
+  return out;
+}
+
 TEST(EngineDispatch, GenericAndNativeTiersAgree) {
   const int nb = 192;
   const auto a = random_block(nb, nb, 41);
@@ -284,6 +315,14 @@ TEST(EngineDispatch, GenericAndNativeTiersAgree) {
   // is the only permitted difference, so the tiers agree very tightly.
   expect_close(c_nat, c_gen);
   expect_close(s_nat, s_gen);
+
+  // The base-case solves keep the reference's per-element order on every
+  // tier, so TRSM and POTRF differ by FMA contraction only as well.
+  const SolveInputs in = solve_inputs(nb, 44);
+  const SolveOutputs gen = solves_at_tier(kernels::Tier::kGeneric, nb, in);
+  const SolveOutputs nat = solves_at_tier(kernels::Tier::kAvx2, nb, in);
+  expect_close(nat.trsm, gen.trsm);
+  expect_close(nat.potrf, gen.potrf);
 }
 
 // AVX-512 paired-panel tier against the generic oracle across every edge
@@ -341,11 +380,21 @@ TEST_P(Avx512Sweep, AgreesWithAvx2Tier) {
     ASSERT_EQ(c_512[i], c_avx2[i]) << "gemm flat index " << i;
     ASSERT_EQ(s_512[i], s_avx2[i]) << "syrk flat index " << i;
   }
+
+  // The base-case solves run the same FMA chain per element on both
+  // tiers, whatever their strip heights and lane masks.
+  const SolveInputs in = solve_inputs(nb, 57);
+  const SolveOutputs v2 = solves_at_tier(kernels::Tier::kAvx2, nb, in);
+  const SolveOutputs v512 = solves_at_tier(kernels::Tier::kAvx512, nb, in);
+  for (std::size_t i = 0; i < v512.trsm.size(); ++i) {
+    ASSERT_EQ(v512.trsm[i], v2.trsm[i]) << "trsm flat index " << i;
+    ASSERT_EQ(v512.potrf[i], v2.potrf[i]) << "potrf flat index " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PairingEdges, Avx512Sweep,
-                         ::testing::Values(1, 3, 4, 5, 7, 8, 63, 64, 65, 129,
-                                           192, 960));
+                         ::testing::Values(1, 3, 4, 5, 7, 8, 31, 32, 33, 63,
+                                           64, 65, 129, 192, 320, 960));
 
 TEST(Avx512Ld, GemmWithDistinctLeadingDims) {
   if (kernels::native_tier() != kernels::Tier::kAvx512)
@@ -364,6 +413,135 @@ TEST(Avx512Ld, GemmWithDistinctLeadingDims) {
   kernels::gemm(nb, a.data(), lda, b.data(), ldb, c_512.data(), ldc);
   kernels::reset_engine_tier();
   expect_close(c_512, c_gen);
+}
+
+// ---- POTRF failing pivots and untouched storage, on every tier --------------
+
+std::vector<kernels::Tier> host_tiers() {
+  std::vector<kernels::Tier> tiers;
+  for (const kernels::Tier t : {kernels::Tier::kGeneric, kernels::Tier::kAvx2,
+                                kernels::Tier::kAvx512})
+    if (static_cast<int>(t) <= static_cast<int>(kernels::native_tier()))
+      tiers.push_back(t);
+  return tiers;
+}
+
+// A pivot forced bad at column j (0-based) of an SPD tile: the leading
+// j x j block is untouched, so every earlier pivot stays positive, and
+// the Schur complement at j is the bad diagonal minus a sum of squares.
+TEST(PotrfFailureIndex, MatchesRefOnEveryTier) {
+  for (const int nb : {64, 320}) {
+    for (const int j : {0, 1, 31, 63, 64, 65, 200}) {
+      if (j >= nb || (j == 200 && nb != 320)) continue;
+      for (const double bad :
+           {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+        auto input = spd_block(nb, nb, 81);
+        if (bad == 0.0)  // zero pivot: zero row j left of the diagonal too
+          for (int p = 0; p < j; ++p)
+            input[static_cast<std::size_t>(j) +
+                  static_cast<std::size_t>(p) * static_cast<std::size_t>(nb)] =
+                0.0;
+        input[static_cast<std::size_t>(j) * (static_cast<std::size_t>(nb) + 1)] =
+            bad;
+        auto w_ref = input;
+        const int want = kernels::ref::potrf_info(nb, w_ref.data(), nb);
+        ASSERT_EQ(want, j + 1) << "nb=" << nb << " j=" << j;
+        for (const kernels::Tier t : host_tiers()) {
+          kernels::set_engine_tier(t);
+          auto w = input;
+          EXPECT_EQ(kernels::potrf_info(nb, w.data(), nb), want)
+              << kernels::tier_name(t) << " nb=" << nb << " j=" << j
+              << " pivot=" << bad;
+        }
+        kernels::reset_engine_tier();
+      }
+    }
+  }
+}
+
+TEST(PotrfFailureIndex, UpperTriangleAndPaddingUntouched) {
+  for (const int nb : {1, 33, 64, 65, 320}) {
+    const int ld = nb + 3;
+    auto input = spd_block(nb, ld, 82);
+    // Distinct values above the diagonal and in the padding rows, so a
+    // stray write of any value shows.
+    for (int j = 0; j < nb; ++j)
+      for (int i = 0; i < ld; ++i)
+        if (i < j || i >= nb)
+          input[static_cast<std::size_t>(i) +
+                static_cast<std::size_t>(j) * static_cast<std::size_t>(ld)] =
+              1e6 + i + 1e3 * j;
+    for (const kernels::Tier t : host_tiers()) {
+      kernels::set_engine_tier(t);
+      auto w = input;
+      ASSERT_EQ(kernels::potrf_info(nb, w.data(), ld), 0)
+          << kernels::tier_name(t) << " nb=" << nb;
+      for (int j = 0; j < nb; ++j)
+        for (int i = 0; i < ld; ++i) {
+          if (i >= j && i < nb) continue;
+          const std::size_t at = static_cast<std::size_t>(i) +
+                                 static_cast<std::size_t>(j) *
+                                     static_cast<std::size_t>(ld);
+          ASSERT_EQ(std::memcmp(&w[at], &input[at], sizeof(double)), 0)
+              << kernels::tier_name(t) << " nb=" << nb << " (" << i << ","
+              << j << ")";
+        }
+    }
+    kernels::reset_engine_tier();
+  }
+}
+
+// ---- The in-block TRSM solve of each tier, at every strip-tail length ------
+
+// m = 1..70 runs every partial last vector of both vector tiers (1..8
+// AVX-512 lanes, 1..4 AVX2 lanes) in strips of every height, plus full
+// strips. Solving the columns in two calls must not change a bit, rows
+// past m (the padding row of ld = m + 1) must stay untouched, the result
+// must match ref::trsm_rlt to rounding, and avx2 must equal avx512.
+TEST(InBlockSolve, TailsAndColumnSplitsOnEveryTier) {
+  using Solve = void (*)(int, int, int, const double*, int, double*, int);
+  const Solve solves[] = {kernels::detail::trsm_rlt_generic,
+                          kernels::detail::trsm_rlt_avx2,
+                          kernels::detail::trsm_rlt_avx512};
+  const int tiers = static_cast<int>(kernels::native_tier()) + 1;
+  for (const int n : {1, 2, 3, 32, 33}) {
+    auto l = spd_block(n, n, 91);
+    ASSERT_EQ(kernels::ref::potrf_info(n, l.data(), n), 0);
+    for (int m = 1; m <= 70; ++m) {
+      const int ld = m + 1;
+      const auto a0 = random_block(ld, n, 92 + static_cast<unsigned>(m));
+      auto want = a0;
+      kernels::ref::trsm_rlt(m, n, l.data(), n, want.data(), ld);
+      std::vector<std::vector<double>> got;
+      for (int t = 0; t < tiers; ++t) {
+        SCOPED_TRACE(::testing::Message()
+                     << kernels::tier_name(static_cast<kernels::Tier>(t))
+                     << " m=" << m << " n=" << n);
+        auto whole = a0;
+        solves[t](m, 0, n, l.data(), n, whole.data(), ld);
+        auto split = a0;
+        solves[t](m, 0, n / 2, l.data(), n, split.data(), ld);
+        solves[t](m, n / 2, n, l.data(), n, split.data(), ld);
+        ASSERT_EQ(std::memcmp(whole.data(), split.data(),
+                              whole.size() * sizeof(double)),
+                  0);
+        for (int j = 0; j < n; ++j) {
+          const std::size_t pad = static_cast<std::size_t>(m) +
+                                  static_cast<std::size_t>(j) *
+                                      static_cast<std::size_t>(ld);
+          ASSERT_EQ(std::memcmp(&whole[pad], &a0[pad], sizeof(double)), 0)
+              << "column " << j;
+        }
+        expect_close(whole, want);
+        got.push_back(std::move(whole));
+      }
+      if (tiers == 3)
+        ASSERT_EQ(std::memcmp(got[1].data(), got[2].data(),
+                              got[1].size() * sizeof(double)),
+                  0)
+            << "avx2 vs avx512, m=" << m << " n=" << n;
+    }
+  }
 }
 
 // ---- Whole factorization through the parallel executor ----------------------
