@@ -279,13 +279,36 @@ HETSCHED_KERNEL_BENCH(BM_KernelGemmNT, paper_sizes);
 
 #undef HETSCHED_KERNEL_BENCH
 
+// In-place refill of a job matrix with the synthetic SPD stream: what a
+// serving job's input costs once its buffers are recycled. Bytes/s counts
+// every stored double, so it reads against the host's streaming-write rate.
+void BM_SyntheticSpdFill(benchmark::State& state) {
+  const int tiles = static_cast<int>(state.range(0));
+  const int nb = static_cast<int>(state.range(1));
+  TileMatrix m(tiles, nb);
+  unsigned seed = 1;
+  m.refill_synthetic_spd(seed);  // warm-up: first touch of the storage
+  for (auto _ : state) {
+    m.refill_synthetic_spd(++seed);
+    benchmark::DoNotOptimize(m.tile(0)[0]);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          num_lower_tiles(tiles) *
+                          static_cast<std::int64_t>(m.tile_bytes()));
+}
+
+// serve-small's job geometry and factor-large's matrix.
+void fill_sizes(benchmark::internal::Benchmark* b) {
+  b->Args({8, 64})->Args({16, 320})->Unit(benchmark::kMicrosecond);
+}
+
 // ---- Per tier: generic vs avx2 vs avx512 on the same engine ----------------
 //
 // Registered dynamically so only tiers the CPU supports appear (the
 // clamped ones would silently duplicate their fallback and pollute
 // comparisons). GEMM rows give the register-tile ratio at nb=960; TRSM and
 // POTRF rows give each tier's base-case solves at the serving and
-// factor-large tile sizes.
+// factor-large tile sizes; fill rows give the input generator's rate.
 
 template <void (*kBench)(benchmark::State&)>
 void at_tier(benchmark::State& state, kernels::Tier tier) {
@@ -304,6 +327,7 @@ int register_tier_benches() {
       {"BM_KernelGemmNT", at_tier<BM_KernelGemmNT<true>>, paper_sizes},
       {"BM_KernelTrsm", at_tier<BM_KernelTrsm<true>>, base_case_sizes},
       {"BM_KernelPotrf", at_tier<BM_KernelPotrf<true>>, base_case_sizes},
+      {"BM_SyntheticSpdFill", at_tier<BM_SyntheticSpdFill>, fill_sizes},
   };
   for (const TierBench& bench : benches)
     for (const kernels::Tier t :

@@ -10,7 +10,8 @@
 //
 // Prints, per nb: GFLOP/s with the cache off and on, the speedup, and the
 // cache hit rate -- the acceptance numbers for the shared-cache PR -- then
-// an end-to-end execute_parallel comparison on a 16-tile factorization.
+// an end-to-end execute_parallel comparison on a 16-tile factorization, on
+// one thread and on the bench pool.
 // Argument-free, like the other bench binaries.
 #include <algorithm>
 #include <atomic>
@@ -200,7 +201,7 @@ double phase_gflops(int nb, double seconds) {
   return flops / seconds * 1e-9;
 }
 
-void end_to_end(int n_tiles, int nb) {
+void end_to_end(int n_tiles, int nb, int threads) {
   const TaskGraph g = build_cholesky_dag(n_tiles, nb);
   double secs[2];
   RunReport reports[2];
@@ -213,7 +214,7 @@ void end_to_end(int n_tiles, int nb) {
     for (const bool on : {false, true}) {  // interleaved vs machine drift
       a.refill_synthetic_spd(42);
       ExecOptions opt;
-      opt.num_threads = kThreads;
+      opt.num_threads = threads;
       opt.record_trace = false;
       opt.pack_cache = on;
       const RunReport r = execute_parallel(a, g, opt);
@@ -228,7 +229,8 @@ void end_to_end(int n_tiles, int nb) {
     }
   }
   const std::int64_t lk = reports[1].pack_hits + reports[1].pack_misses;
-  std::printf("  %4d  %4d  %8.1f  %8.1f  %6.3fx  %5.1f%%\n", n_tiles, nb,
+  std::printf("  %7d  %5d  %4d  %8.1f  %8.1f  %6.3fx  %5.1f%%\n", threads,
+              n_tiles, nb,
               gflops(n_tiles, nb, secs[0]), gflops(n_tiles, nb, secs[1]),
               secs[0] / secs[1],
               lk > 0 ? 100.0 * static_cast<double>(reports[1].pack_hits) /
@@ -286,10 +288,13 @@ int main() {
   if (hw != 0 && hw < 8)
     std::printf("  (* oversubscribed: more threads than hardware)\n");
 
+  // One pool thread is serve-small's configuration; kThreads is
+  // factor-large's on a 4-core host.
   std::printf("\nend-to-end execute_parallel (best of 3)\n");
-  std::printf("  tiles    nb  off GF/s   on GF/s  speedup  hit rate\n");
-  end_to_end(16, 64);
-  end_to_end(16, 128);
-  end_to_end(16, 192);
+  std::printf("  threads  tiles    nb  off GF/s   on GF/s  speedup  hit rate\n");
+  std::vector<int> pools{1};
+  if (kThreads > 1) pools.push_back(kThreads);
+  for (const int th : pools)
+    for (const int nb : {64, 128, 192, 320}) end_to_end(16, nb, th);
   return 0;
 }

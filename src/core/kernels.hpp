@@ -13,6 +13,9 @@
 // (kernels/ref.hpp) as correctness oracles and small-tile fallbacks.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
 namespace hetsched::kernels {
 
 /// In-place lower Cholesky factorization of the nb x nb tile `a`.
@@ -86,5 +89,13 @@ void tsqrt(int nb, double* r, int ldr, double* a, int lda, double* tau);
 /// to the stacked pair [c_top; c_bot] of nb x nb tiles.
 void tsmqr(int nb, const double* v, int ldv, const double* tau,
            double* c_top, int ldt, double* c_bot, int ldb);
+
+// ---- Input generation --------------------------------------------------------
+
+/// Fills dst[0..n) with the splitmix64 stream that follows `state`: entry i
+/// is the generator's output for state + (i + 1) * 0x9e3779b97f4a7c15,
+/// mapped to [-1, 1) with 53 random bits. Bitwise identical on every tier;
+/// the generator behind TileMatrix::synthetic_spd.
+void splitmix_fill(double* dst, std::size_t n, std::uint64_t state);
 
 }  // namespace hetsched::kernels

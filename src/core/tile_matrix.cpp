@@ -1,17 +1,38 @@
 #include "core/tile_matrix.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "core/kernels.hpp"
 
 namespace hetsched {
 
 TileMatrix::TileMatrix(int n_tiles, int nb) : n_tiles_(n_tiles), nb_(nb) {
   if (n_tiles <= 0 || nb <= 0)
     throw std::invalid_argument("TileMatrix: non-positive dimensions");
+  if (!addressable(n_tiles, nb))
+    throw std::length_error("TileMatrix: " + std::to_string(n_tiles) +
+                            " tiles of nb=" + std::to_string(nb) +
+                            " overflow the index arithmetic");
   const std::size_t per_tile =
       static_cast<std::size_t>(nb) * static_cast<std::size_t>(nb);
   storage_.assign(static_cast<std::size_t>(num_lower_tiles(n_tiles)) * per_tile,
                   0.0);
+}
+
+bool TileMatrix::addressable(int n_tiles, int nb) noexcept {
+  constexpr auto kIntMax =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  if (n_tiles <= 0 || nb <= 0) return false;
+  const auto t = static_cast<std::uint64_t>(n_tiles);
+  const auto b = static_cast<std::uint64_t>(nb);
+  // Every product below has factors < 2^32, so none wraps in 64 bits.
+  const std::uint64_t tiles = t * (t + 1) / 2;
+  if (t * b > kIntMax || tiles > kIntMax) return false;
+  return b * b <= std::numeric_limits<std::size_t>::max() / sizeof(double) /
+                      tiles;
 }
 
 double* TileMatrix::tile(int i, int j) {
@@ -76,18 +97,12 @@ TileMatrix TileMatrix::synthetic_spd(int n_tiles, int nb, unsigned seed) {
 }
 
 void TileMatrix::refill_synthetic_spd(unsigned seed) {
-  // splitmix64 per entry: deterministic, seekable, no RNG object state.
-  std::uint64_t x = static_cast<std::uint64_t>(seed) * 0x9e3779b97f4a7c15ULL +
-                    0xbf58476d1ce4e5b9ULL;
-  const auto next = [&x]() {
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z = z ^ (z >> 31);
-    return static_cast<double>(z >> 11) * 0x1p-53 * 2.0 - 1.0;  // [-1, 1)
-  };
-  for (double& v : storage_) v = next();
+  // splitmix64 per entry (kernels::splitmix_fill): deterministic, seekable,
+  // no RNG object state, the same bits on every kernel tier.
+  kernels::splitmix_fill(storage_.data(), storage_.size(),
+                         static_cast<std::uint64_t>(seed) *
+                                 0x9e3779b97f4a7c15ULL +
+                             0xbf58476d1ce4e5b9ULL);
   // Every |entry| < 1, so row sums are < N and a diagonal of 2N keeps all
   // Schur complements strictly diagonally dominant.
   const double lift = 2.0 * static_cast<double>(n_tiles_ * nb_);

@@ -3,6 +3,7 @@
 // layout the tiled Cholesky tasks operate on (one tile = one data handle).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/dense_matrix.hpp"
@@ -13,7 +14,16 @@ namespace hetsched {
 /// Symmetric matrix stored as n x n lower-triangle tiles of size nb x nb.
 class TileMatrix {
  public:
+  /// Zero-filled storage. Throws std::invalid_argument for non-positive
+  /// dimensions and std::length_error for a geometry that is not
+  /// addressable() (std::bad_alloc if the host cannot back it).
   TileMatrix(int n_tiles, int nb);
+
+  /// Whether the geometry's index arithmetic fits its types: the matrix
+  /// dimension n_tiles * nb and the tile count num_lower_tiles(n_tiles)
+  /// in int, the storage size in bytes in size_t. Says nothing about
+  /// whether the host has that much memory.
+  static bool addressable(int n_tiles, int nb) noexcept;
 
   int n_tiles() const noexcept { return n_tiles_; }
   int nb() const noexcept { return nb_; }
@@ -54,9 +64,14 @@ class TileMatrix {
   static TileMatrix synthetic_spd(int n_tiles, int nb, unsigned seed);
 
   /// Rewrites this matrix with the synthetic_spd content in place, without
-  /// reallocating storage. Benchmarks re-factorizing the same buffers use
-  /// this to keep tile addresses stable across repetitions, the way a
-  /// long-lived application reuses its matrix memory.
+  /// reallocating storage. Every stored double is overwritten, so whatever
+  /// the buffers held before (a factor, a failed job's partial result,
+  /// NaN) leaves no trace: the result is bitwise equal to a fresh
+  /// synthetic_spd(n_tiles, nb, seed). Benchmarks re-factorizing the same
+  /// buffers and the server's recycled job inputs (docs/serving.md) use
+  /// this to keep tile addresses stable, the way a long-lived application
+  /// reuses its matrix memory. The fill is one vector pass over the
+  /// storage (kernels::splitmix_fill) plus the diagonal lift.
   void refill_synthetic_spd(unsigned seed);
 
  private:

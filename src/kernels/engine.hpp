@@ -1,8 +1,9 @@
 // Runtime dispatch of the optimized tile-kernel engine.
 //
 // The packed GEMM macro-kernel is ISA-independent; only the innermost
-// register-tiled micro-kernel and the in-block TRSM solve (the base case
-// of TRSM and POTRF, gemm_packed.hpp) exist in three flavours:
+// register-tiled micro-kernel, the in-block TRSM solve (the base case
+// of TRSM and POTRF) and the synthetic-input fill (gemm_packed.hpp) exist
+// in tier flavours:
 //
 //   kGeneric : plain C++ written to auto-vectorize at the build's baseline
 //              ISA (SSE2 on x86-64) -- always available, any platform.
@@ -28,8 +29,8 @@
 // Thread-safety / memory-order contract: the active tier is a single
 // std::atomic<Tier>. set_engine_tier() / reset_engine_tier() may be called
 // concurrently with running kernels -- dispatch loads the tier exactly
-// once per engine call (each gemm_packed call, in-block solve and POTRF
-// panel; memory_order_relaxed), so a racing change selects
+// once per engine call (each gemm_packed call, in-block solve, POTRF
+// panel and fill; memory_order_relaxed), so a racing change selects
 // either the old or the new micro-kernel for that call, never a torn or
 // mixed configuration, and both tiers produce results that agree to FMA
 // rounding. A caller that needs its change to be *observed* by kernel

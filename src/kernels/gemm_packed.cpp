@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 #include "kernels/engine.hpp"
 #include "kernels/scratch.hpp"
@@ -115,6 +116,17 @@ void trsm_rlt_generic(int m, int j0, int j1, const double* l, int ldl,
   for (; i + kMR <= m; i += kMR)
     trsm_strip_generic<kMR>(j0, j1, l, ldl, a + i, lda);
   for (; i < m; ++i) trsm_strip_generic<1>(j0, j1, l, ldl, a + i, lda);
+}
+
+void splitmix_fill_generic(double* dst, std::size_t n, std::uint64_t state) {
+  for (std::size_t i = 0; i < n; ++i) {
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z = z ^ (z >> 31);
+    dst[i] = static_cast<double>(z >> 11) * 0x1p-53 * 2.0 - 1.0;
+  }
 }
 
 void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,

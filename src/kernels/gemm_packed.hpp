@@ -27,6 +27,9 @@
 // core/kernels.hpp (tile API) + kernels/engine.hpp (dispatch control).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
 #include "kernels/pack_geometry.hpp"
 
 namespace hetsched::kernels::detail {
@@ -110,6 +113,18 @@ void trsm_rlt_avx2(int m, int j0, int j1, const double* l, int ldl,
                    double* a, int lda);
 void trsm_rlt_avx512(int m, int j0, int j1, const double* l, int ldl,
                      double* a, int lda);
+
+// ---- Synthetic input fill ---------------------------------------------------
+//
+// dst[i] := the splitmix64 output for state + (i + 1) * 0x9e3779b97f4a7c15,
+// mapped to [-1, 1) as (z >> 11) * 2^-52 - 1. Entry i depends on i alone,
+// so vector lanes are independent, and every step is integer arithmetic or
+// exact in double, so every tier writes the same bits. The generic tier is
+// the scalar loop the stream was defined by; AVX2 has no 64-bit multiply
+// and uses it too.
+
+void splitmix_fill_generic(double* dst, std::size_t n, std::uint64_t state);
+void splitmix_fill_avx512(double* dst, std::size_t n, std::uint64_t state);
 
 /// True when the running CPU reports AVX2 and FMA.
 bool avx2_supported();

@@ -6,7 +6,7 @@
 // take the reference axpy loops unchanged. The LU panel
 // solves and the QR kernels delegate to the reference implementations (they
 // are a small fraction of their factorizations' flops; the LU trailing
-// update gemm_nn is packed).
+// update gemm_nn is packed). The synthetic-input fill dispatches here too.
 #include "core/kernels.hpp"
 
 #include <algorithm>
@@ -275,6 +275,15 @@ void tsqrt(int nb, double* r, int ldr, double* a, int lda, double* tau) {
 void tsmqr(int nb, const double* v, int ldv, const double* tau,
            double* c_top, int ldt, double* c_bot, int ldb) {
   ref::tsmqr(nb, v, ldv, tau, c_top, ldt, c_bot, ldb);
+}
+
+// ---- Input generation --------------------------------------------------------
+
+void splitmix_fill(double* dst, std::size_t n, std::uint64_t state) {
+  if (engine_tier() == Tier::kAvx512)
+    detail::splitmix_fill_avx512(dst, n, state);
+  else
+    detail::splitmix_fill_generic(dst, n, state);
 }
 
 }  // namespace hetsched::kernels

@@ -19,6 +19,7 @@
 #include "kernels/gemm_packed.hpp"
 
 #include <cstddef>
+#include <cstdint>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HETSCHED_KERNELS_HAVE_AVX512_PATH 1
@@ -173,9 +174,58 @@ void trsm_rlt_avx512(int m, int j0, int j1, const double* l, int ldl,
   kTail[vecs - 1](j0, j1, l, ldl, a + i, lda, tail);
 }
 
+// ---- Synthetic input fill ---------------------------------------------------
+//
+// Eight stream positions per ZMM vector, written with GCC vector
+// extensions: AVX-512F has no 64-bit low multiply (vpmullq is AVX512DQ,
+// which the tier does not require), and the compiler assembles each
+// product from 32-bit halves. The [-1, 1) mapping needs no
+// integer-to-double conversion either: with v = z >> 11 < 2^53,
+//   v * 2^-52 - 1 = (1 + (v mod 2^52) * 2^-52) - (v >= 2^52 ? 1 : 2),
+// where the first term is the double with v's low 52 bits as mantissa and
+// a zero exponent, the second is 2.0 less one exponent step when bit 52 is
+// set, and the subtraction is exact (Sterbenz).
+
+namespace {
+
+using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+
+__attribute__((target("avx512f"))) inline __m512d splitmix_unit(U64x8 z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  const U64x8 v = (z ^ (z >> 31)) >> 11;
+  const U64x8 y = 0x3FF0000000000000ULL | (v & ((1ULL << 52) - 1));
+  const U64x8 c = 0x4000000000000000ULL - (v & (1ULL << 52));
+  return _mm512_sub_pd(_mm512_castsi512_pd(reinterpret_cast<__m512i>(y)),
+                       _mm512_castsi512_pd(reinterpret_cast<__m512i>(c)));
+}
+
+}  // namespace
+
+__attribute__((target("avx512f"))) void splitmix_fill_avx512(
+    double* dst, std::size_t n, std::uint64_t state) {
+  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  // Lane l holds the state of stream position i + l.
+  U64x8 x;
+  for (int l = 0; l < 8; ++l)
+    x[l] = state + static_cast<std::uint64_t>(l + 1) * kGolden;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(dst + i, splitmix_unit(x));
+    x += 8 * kGolden;
+  }
+  if (i < n)
+    _mm512_mask_storeu_pd(dst + i, static_cast<__mmask8>((1u << (n - i)) - 1u),
+                          splitmix_unit(x));
+}
+
 #else  // non-x86 or unsupported compiler: never selected at runtime
 
 bool avx512_supported() { return false; }
+
+void splitmix_fill_avx512(double* dst, std::size_t n, std::uint64_t state) {
+  splitmix_fill_generic(dst, n, state);
+}
 
 void trsm_rlt_avx512(int m, int j0, int j1, const double* l, int ldl,
                      double* a, int lda) {

@@ -74,7 +74,7 @@ enum class RejectReason {
   kQueueFull, ///< depth limit hit and nothing lower-priority to shed
   kLatency,   ///< estimated queue wait exceeds the latency SLO
   kDraining,  ///< server is draining / stopped
-  kBadSpec,   ///< non-positive tiles/nb or other invalid spec
+  kBadSpec,   ///< non-positive or overflowing tiles/nb, negative deadline
 };
 
 const char* to_string(RejectReason r);

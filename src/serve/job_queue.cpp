@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/tile_matrix.hpp"
+
 namespace hetsched::serve {
 
 const char* to_string(JobState s) {
@@ -36,7 +38,10 @@ bool BoundedJobQueue::before(const JobPtr& a, const JobPtr& b) const {
 
 BoundedJobQueue::Admission BoundedJobQueue::admit(const JobPtr& job) {
   Admission res;
-  if (job->spec.tiles <= 0 || job->spec.nb <= 0 ||
+  // A geometry whose index arithmetic overflows could never be built; one
+  // that is merely too large for the host fails its batch at input
+  // preparation instead (server.cpp).
+  if (!TileMatrix::addressable(job->spec.tiles, job->spec.nb) ||
       job->spec.deadline_ms < 0.0) {
     res.reason = RejectReason::kBadSpec;
     return res;

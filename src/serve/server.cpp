@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -79,8 +80,9 @@ SubmitResult FactorizationServer::submit(const JobSpec& spec) {
     switch (adm.reason) {
       case RejectReason::kBadSpec:
         ++m_.rejected_bad;
-        res.message = "invalid job spec (tiles/nb must be positive, "
-                      "deadline_ms non-negative)";
+        res.message = "invalid job spec (tiles/nb must be positive with "
+                      "a matrix that fits the index types, deadline_ms "
+                      "non-negative)";
         break;
       case RejectReason::kLatency:
         ++m_.rejected_latency;
@@ -141,6 +143,24 @@ const BatchPlan& FactorizationServer::plan_for(int jobs, int tiles, int nb) {
   return it->second;
 }
 
+void FactorizationServer::prepare_inputs(const std::vector<JobPtr>& batch,
+                                         int tiles, int nb) {
+  // Recycling is safe: the refill overwrites every stored double, and the
+  // compute backend bumps the pack-cache epoch of every block at the start
+  // of each run, so a reused address never hits a previous job's panel.
+  if (!inputs_.empty() &&
+      (inputs_.front().n_tiles() != tiles || inputs_.front().nb() != nb))
+    inputs_.clear();
+  while (inputs_.size() < batch.size()) {
+    inputs_.emplace_back(tiles, nb);
+    ++input_allocs_;
+  }
+  inputs_.erase(inputs_.begin() + static_cast<std::ptrdiff_t>(batch.size()),
+                inputs_.end());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    inputs_[i].refill_synthetic_spd(batch[i]->spec.seed);
+}
+
 void FactorizationServer::run_batch(std::vector<JobPtr>& batch,
                                     CancelToken* batch_cancel,
                                     std::unique_lock<std::mutex>& lock) {
@@ -163,42 +183,63 @@ void FactorizationServer::run_batch(std::vector<JobPtr>& batch,
   }
   lock.unlock();
 
-  const BatchPlan& plan = plan_for(b, tiles, nb);
-  std::vector<TileMatrix> mats;
-  mats.reserve(static_cast<std::size_t>(b));
-  for (const JobPtr& job : batch)
-    mats.push_back(TileMatrix::synthetic_spd(tiles, nb, job->spec.seed));
-  std::vector<TileMatrix*> mat_ptrs(static_cast<std::size_t>(b));
-  std::vector<const CancelToken*> tokens(static_cast<std::size_t>(b));
-  for (int i = 0; i < b; ++i) {
-    mat_ptrs[static_cast<std::size_t>(i)] = &mats[static_cast<std::size_t>(i)];
-    tokens[static_cast<std::size_t>(i)] =
-        &batch[static_cast<std::size_t>(i)]->token;
+  // Everything up to the end of the run may throw: an input the host
+  // cannot allocate, a plan too large to build. That fails this batch's
+  // jobs, never the dispatcher (an escaping exception would terminate the
+  // process).
+  RunReport rep;
+  std::vector<JobRunResult> results;
+  std::optional<std::string> error;
+  try {
+    const BatchPlan& plan = plan_for(b, tiles, nb);
+    prepare_inputs(batch, tiles, nb);
+    std::vector<TileMatrix*> mat_ptrs(static_cast<std::size_t>(b));
+    std::vector<const CancelToken*> tokens(static_cast<std::size_t>(b));
+    for (int i = 0; i < b; ++i) {
+      mat_ptrs[static_cast<std::size_t>(i)] =
+          &inputs_[static_cast<std::size_t>(i)];
+      tokens[static_cast<std::size_t>(i)] =
+          &batch[static_cast<std::size_t>(i)]->token;
+    }
+    TileStore store(mat_ptrs);
+    ComputeBackend backend(store, plan.job_of, std::move(tokens));
+    // Registry-resolved policy per batch (specs are cheap to re-resolve and
+    // graph-dependent schedulers need this batch's plan). The default,
+    // "priority", is the historical central priority queue in submission
+    // order.
+    auto sched = sched::make_scheduler(opt_.policy, plan.graph, calibration_,
+                                       opt_.seed);
+    RunOptions ropt;
+    ropt.record_trace = false;  // long-lived server: stream, don't accumulate
+    ropt.faults = opt_.faults;
+    ropt.stream = &streamer_;
+    ropt.cancel = batch_cancel;
+    RunEngine engine(plan.graph, calibration_, *sched, ropt);
+    rep = engine.run(backend);
+    // Per-policy counters (steals, static-pool hits, ...) land in the
+    // aggregated stream snapshot alongside the event-derived metrics.
+    aggregator_.add_scheduler_stats(rep.scheduler_stats);
+    results = backend.results();
+  } catch (const std::exception& e) {
+    error = e.what();
+    inputs_.clear();  // give the memory back; the next batch starts afresh
   }
-  TileStore store(mat_ptrs);
-  ComputeBackend backend(store, plan.job_of, std::move(tokens));
-  // Registry-resolved policy per batch (specs are cheap to re-resolve and
-  // graph-dependent schedulers need this batch's plan). The default,
-  // "priority", is the historical central priority queue in submission
-  // order.
-  auto sched =
-      sched::make_scheduler(opt_.policy, plan.graph, calibration_, opt_.seed);
-  RunOptions ropt;
-  ropt.record_trace = false;  // long-lived server: stream, don't accumulate
-  ropt.faults = opt_.faults;
-  ropt.stream = &streamer_;
-  ropt.cancel = batch_cancel;
-  RunEngine engine(plan.graph, calibration_, *sched, ropt);
-  const RunReport rep = engine.run(backend);
-  // Per-policy counters (steals, static-pool hits, ...) land in the
-  // aggregated stream snapshot alongside the event-derived metrics.
-  aggregator_.add_scheduler_stats(rep.scheduler_stats);
   const double wall_ms = ms_between(run_start, Clock::now());
-  const std::vector<JobRunResult>& results = backend.results();
 
   lock.lock();
   active_batch_cancel_ = nullptr;
   inflight_ = 0;
+  m_.input_allocs = input_allocs_;
+  m_.input_bytes = 0;
+  for (const TileMatrix& m : inputs_)
+    m_.input_bytes += num_lower_tiles(m.n_tiles()) *
+                      static_cast<std::int64_t>(m.tile_bytes());
+  if (error) {
+    for (const JobPtr& job : batch)
+      finalize_locked(job, JobState::kFailed, runtime::RunErrorKind::None,
+                      "batch could not run: " + *error);
+    return;
+  }
   queue_.observe_service(b, wall_ms);
   m_.pack_hits += rep.pack_hits;
   m_.pack_misses += rep.pack_misses;
@@ -452,6 +493,8 @@ std::string FactorizationServer::metrics_json() const {
      << ",\"pack_misses\":" << m.pack_misses << ",\"pack_hit_rate\":"
      << d(pack_total > 0.0 ? static_cast<double>(m.pack_hits) / pack_total
                            : 0.0)
+     << ",\"input_bytes\":" << m.input_bytes
+     << ",\"input_allocs\":" << m.input_allocs
      << ",\"worker_deaths\":" << m.worker_deaths
      << ",\"tasks_requeued\":" << m.tasks_requeued
      << ",\"stream_compute_events\":" << m.stream.compute_events

@@ -30,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/tile_matrix.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/sink.hpp"
 #include "obs/stream.hpp"
@@ -82,6 +83,11 @@ struct ServeMetrics {
   double uptime_s = 0.0;
   std::int64_t pack_hits = 0;
   std::int64_t pack_misses = 0;
+  /// Bytes of job matrices the dispatcher holds for reuse: the last
+  /// batch's inputs, never more (docs/serving.md).
+  std::int64_t input_bytes = 0;
+  /// Job matrices allocated so far; every other batch slot reused one.
+  std::int64_t input_allocs = 0;
   std::int64_t worker_deaths = 0;   ///< across batch runs (injected faults)
   std::int64_t tasks_requeued = 0;
   /// Aggregated TraceEvent view of every batch run (event counts, running
@@ -153,6 +159,9 @@ class FactorizationServer {
   void run_batch(std::vector<JobPtr>& batch, CancelToken* batch_cancel,
                  std::unique_lock<std::mutex>& lock);
   const BatchPlan& plan_for(int jobs, int tiles, int nb);
+  /// Makes inputs_ exactly the batch's matrices, refilled from the job
+  /// seeds.
+  void prepare_inputs(const std::vector<JobPtr>& batch, int tiles, int nb);
   void finalize_locked(const JobPtr& job, JobState state,
                        runtime::RunErrorKind kind, const std::string& error);
 
@@ -177,8 +186,13 @@ class FactorizationServer {
   double queue_ms_sum_ = 0.0;
   std::int64_t queue_ms_count_ = 0;
   // Dispatcher-thread-only state (no lock): fused plans are cached per
-  // (jobs, tiles, nb) so steady-state batches skip graph construction.
+  // (jobs, tiles, nb) so steady-state batches skip graph construction, and
+  // the last batch's job matrices are kept and refilled in place by the
+  // next batch of the same geometry (dropped when the geometry changes,
+  // trimmed to each batch's size).
   std::map<std::tuple<int, int, int>, BatchPlan> plan_cache_;
+  std::vector<TileMatrix> inputs_;
+  std::int64_t input_allocs_ = 0;  // published to m_ after each batch
   Platform calibration_;  // homogeneous, sized to opt_.threads
   obs::TraceStreamer streamer_;
   obs::MetricsAggregator aggregator_;

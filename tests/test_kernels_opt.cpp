@@ -10,11 +10,14 @@
 //   * generic-vs-AVX2 and AVX2-vs-AVX-512 tier agreement through
 //     set_engine_tier(), and POTRF's failing-pivot index on every tier;
 //   * a full factorization residual through execute_parallel, i.e. the
-//     engine as the executors actually drive it (scratch pool bound).
+//     engine as the executors actually drive it (scratch pool bound);
+//   * the synthetic SPD generator: golden stream values, and the vector
+//     fill bitwise equal to the scalar loop on every tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -24,6 +27,7 @@
 #include "core/dense_matrix.hpp"
 #include "core/kernels.hpp"
 #include "core/tile_matrix.hpp"
+#include "core/tiled_cholesky.hpp"
 #include "exec/parallel_executor.hpp"
 #include "kernels/engine.hpp"
 #include "kernels/gemm_packed.hpp"
@@ -566,6 +570,134 @@ TEST(OptKernelsEndToEnd, ParallelFactorizationResidualSmall) {
       scale = std::max(scale, std::abs(a0(i, j)));
     }
   EXPECT_LT(resid, 1e-10 * (1.0 + scale));
+}
+
+// ---- The synthetic SPD generator stream -------------------------------------
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+// FNV-1a over the bit patterns of every stored double, in storage order.
+std::uint64_t storage_checksum(const TileMatrix& m) {
+  const std::size_t n = static_cast<std::size_t>(num_lower_tiles(m.n_tiles())) *
+                        static_cast<std::size_t>(m.nb()) *
+                        static_cast<std::size_t>(m.nb());
+  const double* p = m.tile(0);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bits_of(p[i]);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Literal values of synthetic_spd, recorded from the scalar splitmix64 loop
+// the generator started as: the second and next-to-last stored doubles,
+// the last (a diagonal, lifted to 2N) and a checksum of the whole storage.
+// Element counts 9 and 75 are odd; 10890 is not a multiple of 8. Benchmark
+// inputs and every recorded result depend on this stream, so it must never
+// change, on any tier.
+TEST(SyntheticSpd, GoldenStream) {
+  struct Golden {
+    int tiles, nb;
+    unsigned seed;
+    std::uint64_t second, next_to_last, last, checksum;
+  };
+  const Golden cases[] = {
+      {1, 3, 1u, 0xbfee9dcc76fa470aULL, 0xbfd152459398fbb8ULL,
+       0x4018000000000000ULL, 0xfbddedfff0e60a27ULL},
+      {2, 5, 7u, 0xbfd152459398fbb8ULL, 0xbfebaabafaf00a8aULL,
+       0x4034000000000000ULL, 0x2cbca784f9902585ULL},
+      {3, 7, 42u, 0x3fec45ddf1dbce6cULL, 0x3fd8b58d06d9abe4ULL,
+       0x4045000000000000ULL, 0x1e773daca7c708f9ULL},
+      {8, 64, 12345u, 0x3fb46bbc8d9c7510ULL, 0xbfa759955974fee0ULL,
+       0x4090000000000000ULL, 0x0a13987aaa9a5affULL},
+      {4, 33, 0xFFFFFFFFu, 0x3fed6bf16aefe12eULL, 0x3fe663d322bd80aaULL,
+       0x4070800000000000ULL, 0xdcd6e194304ba7fbULL},
+  };
+  for (const kernels::Tier t : host_tiers()) {
+    kernels::set_engine_tier(t);
+    for (const Golden& g : cases) {
+      SCOPED_TRACE(::testing::Message() << kernels::tier_name(t) << " tiles="
+                                        << g.tiles << " nb=" << g.nb
+                                        << " seed=" << g.seed);
+      const TileMatrix m = TileMatrix::synthetic_spd(g.tiles, g.nb, g.seed);
+      const std::size_t n =
+          static_cast<std::size_t>(num_lower_tiles(g.tiles)) *
+          static_cast<std::size_t>(g.nb) * static_cast<std::size_t>(g.nb);
+      const double* p = m.tile(0);
+      EXPECT_EQ(bits_of(p[1]), g.second);
+      EXPECT_EQ(bits_of(p[n - 2]), g.next_to_last);
+      EXPECT_EQ(bits_of(p[n - 1]), g.last);
+      EXPECT_EQ(storage_checksum(m), g.checksum);
+    }
+  }
+  kernels::reset_engine_tier();
+}
+
+// The AVX-512 fill against the scalar loop at every tail length (n mod 8 =
+// 0..7, short and long), from states that wrap around 2^64 mid-stream;
+// nothing past dst[n) may be written. The public fill at every host tier
+// must agree too.
+TEST(SyntheticSpd, VectorFillEqualsScalarAtEveryLength) {
+  constexpr double kGuard = 12345.0;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 24; ++n) lengths.push_back(n);
+  for (std::size_t n = 4096; n < 4104; ++n) lengths.push_back(n);
+  for (const std::uint64_t state :
+       {std::uint64_t{0}, std::uint64_t{0xbf58476d1ce4e5b9ULL},
+        std::uint64_t{~0ULL - 3 * 0x9e3779b97f4a7c15ULL}}) {
+    for (const std::size_t n : lengths) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " state=" << state);
+      std::vector<double> want(n + 9, kGuard);
+      kernels::detail::splitmix_fill_generic(want.data(), n, state);
+      ASSERT_EQ(want[n], kGuard);
+      if (kernels::native_tier() == kernels::Tier::kAvx512) {
+        std::vector<double> got(n + 9, kGuard);
+        kernels::detail::splitmix_fill_avx512(got.data(), n, state);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0);
+      }
+      for (const kernels::Tier t : host_tiers()) {
+        kernels::set_engine_tier(t);
+        std::vector<double> got(n + 9, kGuard);
+        kernels::splitmix_fill(got.data(), n, state);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << kernels::tier_name(t);
+      }
+      kernels::reset_engine_tier();
+    }
+  }
+}
+
+// Refilling in place restores exactly what a fresh matrix holds, whatever
+// the storage held before: a finished factor, or NaN everywhere.
+TEST(SyntheticSpd, RefillOverwritesFactorsAndNaNs) {
+  const int tiles = 5, nb = 33;
+  for (const kernels::Tier t : host_tiers()) {
+    kernels::set_engine_tier(t);
+    SCOPED_TRACE(kernels::tier_name(t));
+    TileMatrix m = TileMatrix::synthetic_spd(tiles, nb, 9);
+    ASSERT_TRUE(tiled_cholesky_sequential(m));
+    m.refill_synthetic_spd(9);
+    EXPECT_EQ(storage_checksum(m),
+              storage_checksum(TileMatrix::synthetic_spd(tiles, nb, 9)));
+    const std::size_t per_tile =
+        static_cast<std::size_t>(nb) * static_cast<std::size_t>(nb);
+    for (int h = 0; h < num_lower_tiles(tiles); ++h)
+      std::fill_n(m.tile(h), per_tile,
+                  std::numeric_limits<double>::quiet_NaN());
+    m.refill_synthetic_spd(11);
+    EXPECT_EQ(storage_checksum(m),
+              storage_checksum(TileMatrix::synthetic_spd(tiles, nb, 11)));
+  }
+  kernels::reset_engine_tier();
 }
 
 }  // namespace

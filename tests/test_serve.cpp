@@ -2,7 +2,8 @@
 // correctness, per-job cancellation/deadline poisoning (including the
 // cancellation-vs-fault-recovery race), cooperative cancellation across
 // the run backends, and the FactorizationServer lifecycle (batching,
-// retry/backoff, drain, shutdown, metrics).
+// recycled job inputs, retry/backoff, drain, shutdown, metrics, oversized
+// geometries).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -92,6 +93,20 @@ TEST(JobQueue, RejectsBadSpec) {
   const auto res = q.admit(make_job(1, 0, /*tiles=*/0));
   EXPECT_FALSE(res.admitted);
   EXPECT_EQ(res.reason, RejectReason::kBadSpec);
+}
+
+TEST(JobQueue, RejectsGeometryWhoseArithmeticOverflows) {
+  BoundedJobQueue q(AdmissionControl{});
+  // num_lower_tiles(70000) = 2,450,035,000 > INT_MAX.
+  EXPECT_EQ(q.admit(make_job(1, 0, /*tiles=*/70000, /*nb=*/1)).reason,
+            RejectReason::kBadSpec);
+  // tiles * nb = 2^31 > INT_MAX.
+  EXPECT_EQ(q.admit(make_job(2, 0, /*tiles=*/2, /*nb=*/1 << 30)).reason,
+            RejectReason::kBadSpec);
+  // Storage bytes past SIZE_MAX.
+  EXPECT_EQ(q.admit(make_job(3, 0, /*tiles=*/3, /*nb=*/715827882)).reason,
+            RejectReason::kBadSpec);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(JobQueue, LatencySloRejectsOnceServiceEstimateExists) {
@@ -214,6 +229,42 @@ TEST(BatchExecution, EveryJobMatchesSequentialFactorization) {
     ASSERT_TRUE(tiled_cholesky_sequential(refs[b]));
     EXPECT_TRUE(matrices_equal(mats[b], refs[b]))
         << "job " << b << " diverged from the sequential factorization";
+  }
+}
+
+// The server's recycling path at the batch level: a batch in which one job
+// fails numerically leaves a partial factor in its buffers; refilled in
+// place, the same buffers (same addresses, so the pack cache has panels
+// keyed on them) must then factor every job bitwise equal to
+// tiled_cholesky_sequential on a fresh synthetic_spd.
+TEST(BatchExecution, RecycledBuffersMatchFreshSequentialFactorization) {
+  const int jobs = 4, tiles = 6, nb = 64;
+  const BatchPlan plan = serve::build_batch_plan(jobs, tiles, nb);
+  std::vector<TileMatrix> mats;
+  for (int b = 0; b < jobs; ++b)
+    mats.push_back(TileMatrix::synthetic_spd(tiles, nb, 300u + b));
+  double* d = mats[2].tile(3, 3);
+  for (int i = 0; i < nb; ++i) d[i * nb + i] = -1.0;
+  std::vector<TileMatrix*> ptrs;
+  for (auto& m : mats) ptrs.push_back(&m);
+  const std::vector<const CancelToken*> tokens(jobs, nullptr);
+  const BatchRun poisoned = drive_batch(plan, ptrs, tokens, /*threads=*/2);
+  ASSERT_TRUE(poisoned.rep.success) << poisoned.rep.error;
+  ASSERT_EQ(poisoned.results[2].outcome, JobRunOutcome::kNumeric);
+
+  for (int round = 0; round < 2; ++round) {
+    for (int b = 0; b < jobs; ++b)
+      mats[b].refill_synthetic_spd(400u + 10u * round + b);
+    const BatchRun run = drive_batch(plan, ptrs, tokens, /*threads=*/2);
+    ASSERT_TRUE(run.rep.success) << run.rep.error;
+    for (int b = 0; b < jobs; ++b) {
+      EXPECT_EQ(run.results[b].outcome, JobRunOutcome::kOk);
+      TileMatrix ref =
+          TileMatrix::synthetic_spd(tiles, nb, 400u + 10u * round + b);
+      ASSERT_TRUE(tiled_cholesky_sequential(ref));
+      EXPECT_TRUE(matrices_equal(mats[b], ref))
+          << "round " << round << " job " << b;
+    }
   }
 }
 
@@ -547,6 +598,129 @@ TEST(Server, CancelPendingShutdownLeavesEveryJobTerminal) {
   const ServeMetrics m = server.metrics();
   EXPECT_EQ(m.completed, done);
   EXPECT_EQ(m.cancelled, cancelled);
+}
+
+// Submits `n` jobs of one geometry, waits for all, returns their states.
+std::vector<JobState> run_phase(FactorizationServer& server, int n, int tiles,
+                                int nb, unsigned seed0) {
+  std::vector<int> ids;
+  for (int i = 0; i < n; ++i) {
+    JobSpec spec;
+    spec.tiles = tiles;
+    spec.nb = nb;
+    spec.seed = seed0 + static_cast<unsigned>(i);
+    const auto res = server.submit(spec);
+    EXPECT_TRUE(res.admitted) << res.message;
+    ids.push_back(res.id);
+  }
+  std::vector<JobState> states;
+  for (const int id : ids) states.push_back(server.wait(id).state);
+  return states;
+}
+
+std::int64_t job_bytes(int tiles, int nb) {
+  return static_cast<std::int64_t>(num_lower_tiles(tiles)) * nb * nb *
+         static_cast<std::int64_t>(sizeof(double));
+}
+
+// One server across geometry changes, batch-size changes and a batch that
+// cannot be prepared: every job reaches its expected terminal state, the
+// retained input memory never exceeds the last batch's, and same-geometry
+// batches reuse their buffers instead of allocating.
+TEST(Server, RecyclesJobInputsAcrossBatches) {
+  ServerOptions opt;
+  opt.threads = 2;
+  opt.max_batch = 8;
+  FactorizationServer server(opt);
+  server.start();
+  const auto all_done = [](const std::vector<JobState>& states) {
+    for (const JobState s : states)
+      if (s != JobState::kDone) return false;
+    return !states.empty();
+  };
+
+  ASSERT_TRUE(all_done(run_phase(server, 8, 8, 64, 10)));
+  ServeMetrics m = server.metrics();
+  EXPECT_GT(m.input_bytes, 0);
+  EXPECT_LE(m.input_bytes, 8 * job_bytes(8, 64));
+  EXPECT_LE(m.input_allocs, 8);
+
+  ASSERT_TRUE(all_done(run_phase(server, 3, 4, 32, 20)));
+  m = server.metrics();
+  EXPECT_GT(m.input_bytes, 0);
+  EXPECT_LE(m.input_bytes, 3 * job_bytes(4, 32));
+
+  ASSERT_TRUE(all_done(run_phase(server, 5, 8, 64, 30)));
+  m = server.metrics();
+  EXPECT_GT(m.input_bytes, 0);
+  EXPECT_LE(m.input_bytes, 5 * job_bytes(8, 64));
+
+  // Addressable, but std::vector refuses 2^60 doubles before allocating
+  // anything: the batch fails, the dispatcher and its buffers survive it.
+  JobSpec huge;
+  huge.tiles = 1;
+  huge.nb = 1 << 30;
+  const auto h = server.submit(huge);
+  ASSERT_TRUE(h.admitted) << h.message;
+  const auto hs = server.wait(h.id);
+  EXPECT_EQ(hs.state, JobState::kFailed);
+  EXPECT_NE(hs.error.find("batch could not run"), std::string::npos)
+      << hs.error;
+  EXPECT_EQ(server.metrics().input_bytes, 0);
+
+  // A clean batch afterwards, then one on its recycled buffers.
+  ASSERT_TRUE(all_done(run_phase(server, 1, 8, 64, 40)));
+  const std::int64_t allocs = server.metrics().input_allocs;
+  ASSERT_TRUE(all_done(run_phase(server, 1, 8, 64, 50)));
+  m = server.metrics();
+  EXPECT_EQ(m.input_allocs, allocs);
+  EXPECT_EQ(m.input_bytes, job_bytes(8, 64));
+
+  server.shutdown(FactorizationServer::Shutdown::kGraceful);
+  m = server.metrics();
+  EXPECT_EQ(m.submitted, 19);
+  EXPECT_EQ(m.admitted, 19);
+  EXPECT_EQ(m.completed, 18);
+  EXPECT_EQ(m.failed, 1);
+  EXPECT_EQ(m.cancelled + m.deadline_exceeded + m.shed + m.retries, 0);
+  EXPECT_EQ(m.batched_jobs, 19);
+  EXPECT_LT(m.input_allocs, m.batched_jobs);
+}
+
+// A spec whose arithmetic overflows is rejected at the door; one the host
+// cannot allocate fails its own batch. Either way the server keeps serving.
+TEST(Server, OversizedGeometryNeverKillsTheServer) {
+  ServerOptions opt;
+  opt.threads = 1;
+  FactorizationServer server(opt);
+  server.start();
+  JobSpec overflow;
+  overflow.tiles = 70000;
+  overflow.nb = 1;
+  const auto r = server.submit(overflow);
+  EXPECT_FALSE(r.admitted);
+  EXPECT_EQ(r.reason, RejectReason::kBadSpec);
+
+  JobSpec unallocatable;
+  unallocatable.tiles = 1;
+  unallocatable.nb = 1 << 30;
+  const auto u = server.submit(unallocatable);
+  ASSERT_TRUE(u.admitted) << u.message;
+  const auto us = server.wait(u.id);
+  EXPECT_EQ(us.state, JobState::kFailed);
+  EXPECT_FALSE(us.error.empty());
+
+  JobSpec normal;
+  normal.tiles = 4;
+  normal.nb = 64;
+  const auto n = server.submit(normal);
+  ASSERT_TRUE(n.admitted) << n.message;
+  EXPECT_EQ(server.wait(n.id).state, JobState::kDone);
+  server.shutdown(FactorizationServer::Shutdown::kGraceful);
+  const ServeMetrics m = server.metrics();
+  EXPECT_EQ(m.rejected_bad, 1);
+  EXPECT_EQ(m.failed, 1);
+  EXPECT_EQ(m.completed, 1);
 }
 
 TEST(Server, StartValidatesOptions) {

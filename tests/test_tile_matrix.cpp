@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace hetsched {
 namespace {
 
@@ -16,6 +18,19 @@ TEST(TileMatrix, Dimensions) {
 TEST(TileMatrix, InvalidDimensionsThrow) {
   EXPECT_THROW(TileMatrix(0, 8), std::invalid_argument);
   EXPECT_THROW(TileMatrix(4, 0), std::invalid_argument);
+}
+
+TEST(TileMatrix, AddressableRejectsOverflowingGeometry) {
+  EXPECT_TRUE(TileMatrix::addressable(8, 64));
+  EXPECT_TRUE(TileMatrix::addressable(65535, 1));  // 2,147,450,880 tiles
+  EXPECT_TRUE(TileMatrix::addressable(1, 1 << 30));  // 2^63 bytes still fit
+  EXPECT_FALSE(TileMatrix::addressable(0, 64));
+  EXPECT_FALSE(TileMatrix::addressable(8, -1));
+  EXPECT_FALSE(TileMatrix::addressable(70000, 1));   // tile count > INT_MAX
+  EXPECT_FALSE(TileMatrix::addressable(2, 1 << 30));  // tiles * nb > INT_MAX
+  EXPECT_FALSE(TileMatrix::addressable(3, 715827882));  // bytes > SIZE_MAX
+  // Rejected before any allocation is attempted.
+  EXPECT_THROW(TileMatrix(70000, 1), std::length_error);
 }
 
 TEST(TileMatrix, TileHandlesAgree) {
